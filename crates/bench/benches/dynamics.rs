@@ -1,11 +1,15 @@
 //! Benchmarks of the s-LLGS dynamics subsystem: scalar vs lane-blocked
-//! stepping and single-core vs pooled ensembles.
+//! stepping, single-core vs pooled ensembles, and the normal samplers
+//! behind the thermal field.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mramsim_dynamics::{run_ensemble, run_replica, EnsemblePlan, MacrospinParams};
 use mramsim_mtj::{presets, SwitchDirection};
+use mramsim_numerics::dist::{standard_normal_pair, standard_normal_ziggurat};
 use mramsim_numerics::pool::WorkerPool;
 use mramsim_units::{Kelvin, Nanometer};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -66,7 +70,7 @@ fn bench_pooled_ensembles(c: &mut Criterion) {
 }
 
 /// The thermal-field-free (deterministic) stepper, isolating the cost
-/// of the Box–Muller draws.
+/// of the three ziggurat thermal-field draws per step.
 fn bench_thermal_vs_deterministic(c: &mut Criterion) {
     let (params, drive) = operating_point();
     let duration = 1e-9;
@@ -83,9 +87,37 @@ fn bench_thermal_vs_deterministic(c: &mut Criterion) {
     group.finish();
 }
 
+/// 2¹⁶ standard normals: the ziggurat the thermal field draws from vs
+/// the Box–Muller pair transform behind `Normal` and `LogNormal`.
+fn bench_normal_draw(c: &mut Criterion) {
+    const DRAWS: usize = 1 << 16;
+    let mut group = c.benchmark_group("normal_draw");
+    group.bench_function("ziggurat", |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        b.iter(|| {
+            let sum: f64 = (0..DRAWS).map(|_| standard_normal_ziggurat(&mut rng)).sum();
+            black_box(sum)
+        })
+    });
+    group.bench_function("box_muller", |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        b.iter(|| {
+            let sum: f64 = (0..DRAWS / 2)
+                .map(|_| {
+                    let (x, y) = standard_normal_pair(&mut rng);
+                    x + y
+                })
+                .sum();
+            black_box(sum)
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_scalar_vs_lane_blocked, bench_pooled_ensembles, bench_thermal_vs_deterministic
+    targets = bench_scalar_vs_lane_blocked, bench_pooled_ensembles, bench_thermal_vs_deterministic,
+        bench_normal_draw
 }
 criterion_main!(benches);

@@ -165,9 +165,7 @@ pub(crate) fn run_block(
     };
     let dest = params.stt_sign();
 
-    let mut rngs: Vec<_> = (0..LANES as u64)
-        .map(|l| replica_rng(plan.seed, first + l))
-        .collect();
+    let mut rngs: [_; LANES] = core::array::from_fn(|l| replica_rng(plan.seed, first + l as u64));
     let mut mx = [0.0f64; LANES];
     let mut my = [0.0f64; LANES];
     let mut mz = [0.0f64; LANES];

@@ -52,7 +52,7 @@ use crate::DynamicsError;
 use mramsim_array::{NeighborhoodPattern, StrayFieldKernel};
 use mramsim_magnetics::{FieldSource, SourceKind};
 use mramsim_mtj::{MtjDevice, SwitchDirection};
-use mramsim_numerics::dist::{standard_normal, standard_normal_pair, InitialAngle};
+use mramsim_numerics::dist::{standard_normal_ziggurat, InitialAngle};
 use mramsim_numerics::hash::Fnv1a;
 use mramsim_numerics::Vec3;
 use mramsim_units::constants::{E_CHARGE, K_B, MU_0, MU_B};
@@ -341,13 +341,15 @@ pub fn heun_step(params: &MacrospinParams, m: Vec3, h_noise: Vec3, aj: f64, dt: 
     corrected / corrected.norm()
 }
 
-/// Draws the three thermal-field components for one step (a Box–Muller
-/// pair plus one single draw — four uniforms for three normals). The
-/// draw order is part of the per-replica determinism contract.
+/// Draws the three thermal-field components for one step: three
+/// ziggurat normals, `x` then `y` then `z` (most steps consume exactly
+/// three `u64`s). The draw order is part of the per-replica determinism
+/// contract.
 #[inline]
 pub fn thermal_field<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> Vec3 {
-    let (nx, ny) = standard_normal_pair(rng);
-    let nz = standard_normal(rng);
+    let nx = standard_normal_ziggurat(rng);
+    let ny = standard_normal_ziggurat(rng);
+    let nz = standard_normal_ziggurat(rng);
     Vec3::new(nx * sigma, ny * sigma, nz * sigma)
 }
 

@@ -8,9 +8,10 @@
 //! agree only at moderately over-critical drive (Imamura & Matsumoto,
 //! arXiv:1906.00593, is exactly about this divergence). The tests below
 //! pin the agreement point; the `wer-mc` engine scenario defaults to
-//! the same regime.
+//! the same regime. A fluctuation–dissipation check pins the thermal
+//! bath's amplitude independently of any drive.
 
-use mramsim_dynamics::{wer_monte_carlo, EnsemblePlan, MacrospinParams};
+use mramsim_dynamics::{run_ensemble, wer_monte_carlo, EnsemblePlan, MacrospinParams};
 use mramsim_mtj::{presets, SwitchDirection};
 use mramsim_numerics::pool::WorkerPool;
 use mramsim_units::{Kelvin, Nanometer};
@@ -89,4 +90,45 @@ fn mc_wer_matches_butler_at_moderate_delta_and_overdrive() {
         est.std_error,
         analytic
     );
+}
+
+/// `⟨1 − m_z²⟩·Δ` after 10 ns of undriven relaxation at temperature
+/// `t`, with the in-pulse thermal field on or off.
+fn equilibrium_transverse_spread(t: Kelvin, thermal: bool, pool: &WorkerPool) -> (f64, f64) {
+    let device = presets::imec_like(Nanometer::new(35.0)).unwrap();
+    let p = MacrospinParams::from_device(&device, SwitchDirection::PToAp, t).unwrap();
+    let plan = EnsemblePlan::new(2048, 11, 2e-12)
+        .unwrap()
+        .with_thermal(thermal);
+    let out = run_ensemble(&p, 0.0, 10e-9, &plan, pool);
+    let spread = out
+        .iter()
+        .map(|o| 1.0 - o.final_m.z * o.final_m.z)
+        .sum::<f64>()
+        / out.len() as f64;
+    (spread * p.delta_init(), p.delta_init())
+}
+
+/// Fluctuation–dissipation: with no drive, the thermal field must hold
+/// the macrospin in the Boltzmann distribution of its well, where
+/// `⟨1 − m_z²⟩ = ⟨sin²θ⟩ ≈ 1/Δ`. This checks the noise *amplitude*
+/// (diffusion `D` and the sampler's variance) end to end: the
+/// relaxation over 10 ns spans many damping times, so without the bath
+/// the spread collapses to zero.
+#[test]
+fn thermal_field_holds_the_boltzmann_spread_at_zero_drive() {
+    let pool = WorkerPool::with_default_parallelism();
+    for (t, delta) in [(300.0, 45.5), (253.0, 60.0)] {
+        let (scaled, delta_init) = equilibrium_transverse_spread(Kelvin::new(t), true, &pool);
+        assert!(
+            (delta_init - delta).abs() < 1.5,
+            "T = {t} K: delta = {delta_init}"
+        );
+        assert!(
+            (scaled - 1.0).abs() < 0.10,
+            "T = {t} K: <1 - mz^2>·delta = {scaled}"
+        );
+    }
+    let (frozen, _) = equilibrium_transverse_spread(Kelvin::new(300.0), false, &pool);
+    assert!(frozen < 0.05, "thermal off: <1 - mz^2>·delta = {frozen}");
 }

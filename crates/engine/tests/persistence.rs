@@ -3,7 +3,7 @@
 //! interrupted-then-resumed sweeps whose output is byte-identical to
 //! an uninterrupted run.
 
-use mramsim_engine::{Engine, SweepJournal, SweepOptions, SweepPlan};
+use mramsim_engine::{store, Engine, SweepJournal, SweepOptions, SweepPlan};
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
@@ -86,7 +86,7 @@ fn corrupt_disk_entries_fall_back_to_recompute() {
     };
 
     // Vandalise two entries: one truncated, one pure garbage.
-    let entries: Vec<PathBuf> = fs::read_dir(dir.0.join("v1"))
+    let entries: Vec<PathBuf> = fs::read_dir(dir.0.join(format!("v{}", store::SCHEMA_VERSION)))
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "mse"))
@@ -129,7 +129,7 @@ fn corrupt_entries_still_pay_the_job_budget() {
         .unwrap()
         .sweep(&plan)
         .unwrap();
-    let entries: Vec<PathBuf> = fs::read_dir(dir.0.join("v1"))
+    let entries: Vec<PathBuf> = fs::read_dir(dir.0.join(format!("v{}", store::SCHEMA_VERSION)))
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();

@@ -1,12 +1,24 @@
 //! Random sampling for process variation and thermal stochasticity.
 //!
-//! Implemented on top of `rand`'s uniform source (Box–Muller transform)
-//! rather than pulling in `rand_distr`: the distributions are part of the
-//! scientific substrate this reproduction is asked to build, and the
-//! dependency budget stays minimal.
+//! Implemented on top of `rand`'s uniform source rather than pulling in
+//! `rand_distr`: the distributions are part of the scientific substrate
+//! this reproduction is asked to build, and the dependency budget stays
+//! minimal.
+//!
+//! Two standard-normal samplers coexist:
+//!
+//! * the Box–Muller transform ([`standard_normal`],
+//!   [`standard_normal_pair`]) behind [`Normal`] and [`LogNormal`] —
+//!   the process-variation and VSM draws whose seeded streams the
+//!   golden figures pin;
+//! * a 256-layer Marsaglia–Tsang ziggurat
+//!   ([`standard_normal_ziggurat`]) for the s-LLGS thermal field, where
+//!   the draw dominates the stepper: most draws cost one `u64`, a table
+//!   lookup and a compare, with no `ln`, `sqrt` or `sin_cos`.
 
 use crate::{NumericsError, Result};
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// A normal (Gaussian) distribution `N(mean, std_dev²)`.
 ///
@@ -123,9 +135,8 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// Two independent standard-normal variates from one Box–Muller
-/// transform (both halves of the pair, so noise-heavy inner loops such
-/// as the s-LLGS thermal field pay two uniforms per two normals instead
-/// of two per one).
+/// transform: both halves of the pair, two uniforms per two normals.
+/// Noise-bound inner loops should prefer [`standard_normal_ziggurat`].
 ///
 /// The first element is exactly what [`standard_normal`] returns for the
 /// same RNG state.
@@ -136,6 +147,127 @@ pub fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let r = (-2.0 * u1.ln()).sqrt();
     let (s, c) = (2.0 * core::f64::consts::PI * u2).sin_cos();
     (r * c, r * s)
+}
+
+/// Layers of the ziggurat: the low 8 bits of a draw pick one.
+const ZIGGURAT_LAYERS: usize = 256;
+
+/// Right edge `R` of the 256-layer normal ziggurat's base layer
+/// (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000). The common layer
+/// area `V` follows from it.
+const ZIGGURAT_R: f64 = 3.654_152_885_361_009;
+
+/// The ziggurat tables over the unnormalised density
+/// `f(x) = exp(−x²/2)`, built once (see [`ziggurat`]).
+///
+/// Layer `i ≥ 1` is the rectangle `[0, x[i]] × [f[i], f[i+1]]`; layer 0
+/// is the base rectangle `[0, R] × [0, f(R)]` plus the tail beyond `R`,
+/// stretched into the equal-area rectangle of width `x[0] = V/f(R)`.
+/// Every layer has area `V`.
+struct Ziggurat {
+    /// Layer edges: `x[0] = V/f(R)`, `x[1] = R`, decreasing to
+    /// `x[256] = 0`.
+    x: [f64; ZIGGURAT_LAYERS + 1],
+    /// `f[i] = exp(−x[i]²/2)`, increasing to `f[256] = 1`.
+    f: [f64; ZIGGURAT_LAYERS + 1],
+}
+
+impl Ziggurat {
+    fn build() -> Self {
+        let density = |x: f64| (-0.5 * x * x).exp();
+        let r = ZIGGURAT_R;
+        let v = r * density(r) + upper_tail_integral(r);
+        let mut x = [0.0; ZIGGURAT_LAYERS + 1];
+        x[0] = v / density(r);
+        x[1] = r;
+        // Each layer's top edge puts its area at exactly V:
+        // x[i]·(f(x[i+1]) − f(x[i])) = V.
+        for i in 1..ZIGGURAT_LAYERS - 1 {
+            x[i + 1] = (-2.0 * (v / x[i] + density(x[i])).ln()).sqrt();
+        }
+        x[ZIGGURAT_LAYERS] = 0.0;
+        Self {
+            x,
+            f: x.map(density),
+        }
+    }
+
+    /// The slow path for layer `i` when the abscissa `x` fell outside
+    /// the layer's inner rectangle: the tail (layer 0) or the wedge
+    /// under the density (layers 1…255). `None` rejects the draw.
+    #[cold]
+    fn edge<R: Rng + ?Sized>(&self, rng: &mut R, i: usize, x: f64) -> Option<f64> {
+        if i == 0 {
+            // Marsaglia (1964): exact sampling of the tail beyond R.
+            // Uniforms in (0, 1] avoid ln(0).
+            let r = ZIGGURAT_R;
+            loop {
+                let t = -(1.0 - rng.gen::<f64>()).ln() / r;
+                let e = -(1.0 - rng.gen::<f64>()).ln();
+                if 2.0 * e >= t * t {
+                    return Some((r + t).copysign(x));
+                }
+            }
+        }
+        let y = self.f[i] + (self.f[i + 1] - self.f[i]) * rng.gen::<f64>();
+        (y < (-0.5 * x * x).exp()).then_some(x)
+    }
+}
+
+/// The process-wide ziggurat tables, built on first use.
+fn ziggurat() -> &'static Ziggurat {
+    static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+    TABLES.get_or_init(Ziggurat::build)
+}
+
+/// `∫ₓ^∞ exp(−t²/2) dt` for `x ≳ 2`, via the continued fraction of the
+/// Mills ratio, `exp(−x²/2) / (x + 1/(x + 2/(x + 3/(x + …))))`,
+/// evaluated bottom-up (converged to machine precision at `x = R`).
+fn upper_tail_integral(x: f64) -> f64 {
+    let mut t = x;
+    for k in (1..=200).rev() {
+        t = x + f64::from(k) / t;
+    }
+    (-0.5 * x * x).exp() / t
+}
+
+/// One standard-normal variate by the 256-layer Marsaglia–Tsang
+/// ziggurat.
+///
+/// One `u64` serves about 98.5 % of draws: its low 8 bits pick the
+/// layer and its high 52 bits give the signed abscissa, accepted when
+/// it falls inside the layer's inner rectangle. The wedge and tail
+/// cases draw extra uniforms. A given RNG state always yields the same
+/// variate, but the stream differs from [`standard_normal`]'s.
+///
+/// # Examples
+///
+/// ```
+/// use mramsim_numerics::dist::standard_normal_ziggurat;
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+/// let n = 10_000;
+/// let mean = (0..n).map(|_| standard_normal_ziggurat(&mut rng)).sum::<f64>() / n as f64;
+/// assert!(mean.abs() < 0.05);
+/// ```
+#[inline]
+pub fn standard_normal_ziggurat<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let z = ziggurat();
+    loop {
+        let bits = rng.next_u64();
+        let i = (bits & 0xff) as usize;
+        // (m + ½)·2⁻⁵¹ − 1 for the 52-bit m: symmetric in (−1, 1) and
+        // exact in f64.
+        let u = ((bits >> 12) as f64 + 0.5) * (1.0 / (1u64 << 51) as f64) - 1.0;
+        let x = u * z.x[i];
+        if x.abs() < z.x[i + 1] {
+            return x;
+        }
+        if let Some(x) = z.edge(rng, i, x) {
+            return x;
+        }
+    }
 }
 
 /// The thermal-equilibrium initial-angle distribution of a macrospin in
@@ -327,5 +459,147 @@ mod tests {
         assert!(InitialAngle::new(0.0).is_err());
         assert!(InitialAngle::new(-3.0).is_err());
         assert!(InitialAngle::new(f64::NAN).is_err());
+    }
+
+    /// `P(|Z| > x)` for a standard normal `Z`, `x ≳ 2`.
+    fn two_sided_tail(x: f64) -> f64 {
+        2.0 * upper_tail_integral(x) / (2.0 * core::f64::consts::PI).sqrt()
+    }
+
+    /// 2²⁰ seeded ziggurat draws, shared by the distribution tests.
+    fn ziggurat_sample() -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(2024);
+        (0..1 << 20)
+            .map(|_| standard_normal_ziggurat(&mut rng))
+            .collect()
+    }
+
+    #[test]
+    fn ziggurat_tables_hold_their_invariants() {
+        let z = ziggurat();
+        assert_eq!(z.x[1], ZIGGURAT_R);
+        assert_eq!(z.x[ZIGGURAT_LAYERS], 0.0);
+        assert_eq!(z.f[ZIGGURAT_LAYERS], 1.0);
+        assert!(z.x.windows(2).all(|w| w[0] > w[1]), "edges must decrease");
+        // V is the base layer's area: rectangle plus tail, which its
+        // equal-area stretch to width x[0] must keep.
+        let v = ZIGGURAT_R * z.f[1] + upper_tail_integral(ZIGGURAT_R);
+        assert!((z.x[0] * z.f[1] / v - 1.0).abs() < 1e-12);
+        for i in 1..ZIGGURAT_LAYERS {
+            let area = z.x[i] * (z.f[i + 1] - z.f[i]);
+            assert!(
+                (area / v - 1.0).abs() < 1e-12,
+                "layer {i}: area {area} vs V = {v}"
+            );
+        }
+    }
+
+    #[test]
+    fn upper_tail_integral_matches_quadrature() {
+        for x in [2.5, ZIGGURAT_R, 4.0, 5.0] {
+            let quad =
+                crate::integrate::adaptive_simpson(|t| (-0.5 * t * t).exp(), x, x + 15.0, 1e-16)
+                    .unwrap();
+            let cf = upper_tail_integral(x);
+            assert!((cf / quad - 1.0).abs() < 1e-10, "x = {x}: {cf} vs {quad}");
+        }
+    }
+
+    #[test]
+    fn ziggurat_moments_and_ks_match_the_standard_normal() {
+        let mut xs = ziggurat_sample();
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let m2 = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+        let m4 = xs.iter().map(|x| (x - mean).powi(4)).sum::<f64>() / n;
+        let excess_kurtosis = m4 / (m2 * m2) - 3.0;
+        // Five standard errors: σ/√n, √(2/n) and √(24/n).
+        assert!(mean.abs() < 5.0 / n.sqrt(), "mean = {mean}");
+        assert!((m2 - 1.0).abs() < 5.0 * (2.0 / n).sqrt(), "var = {m2}");
+        assert!(
+            excess_kurtosis.abs() < 5.0 * (24.0 / n).sqrt(),
+            "excess kurtosis = {excess_kurtosis}"
+        );
+        // Kolmogorov–Smirnov at α = 1 %: √n·D < 1.63.
+        xs.sort_by(f64::total_cmp);
+        let d = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let cdf = crate::special::normal_cdf(x);
+                (cdf - i as f64 / n).max((i + 1) as f64 / n - cdf)
+            })
+            .fold(0.0, f64::max);
+        assert!(n.sqrt() * d < 1.63, "sqrt(n)·D = {}", n.sqrt() * d);
+    }
+
+    #[test]
+    fn ziggurat_tail_masses_match_the_normal() {
+        // |x| > R comes only from the tail branch; the wedge branches
+        // shape everything between the inner rectangles and the curve.
+        let xs = ziggurat_sample();
+        let n = xs.len() as f64;
+        for cut in [ZIGGURAT_R, 4.0] {
+            let p = two_sided_tail(cut);
+            let count = xs.iter().filter(|x| x.abs() > cut).count() as f64;
+            let sigma = (n * p * (1.0 - p)).sqrt();
+            assert!(
+                (count - n * p).abs() < 4.0 * sigma,
+                "beyond {cut}: {count} draws, expected {:.1} ± {sigma:.1}",
+                n * p
+            );
+        }
+    }
+
+    #[test]
+    fn ziggurat_takes_one_u64_on_the_fast_path() {
+        /// Counts the raw words drawn.
+        struct Counting(StdRng, u64);
+        impl Rng for Counting {
+            fn next_u64(&mut self) -> u64 {
+                self.1 += 1;
+                self.0.next_u64()
+            }
+        }
+        let z = ziggurat();
+        // P(fast path) = Σᵢ x[i+1]/x[i] / 256.
+        let expected = z.x.windows(2).map(|w| w[1] / w[0]).sum::<f64>() / 256.0;
+        let mut rng = Counting(StdRng::seed_from_u64(9), 0);
+        let n = 1 << 20;
+        let mut single = 0u32;
+        for _ in 0..n {
+            let before = rng.1;
+            standard_normal_ziggurat(&mut rng);
+            single += u32::from(rng.1 - before == 1);
+        }
+        let share = f64::from(single) / f64::from(n);
+        let sigma = (expected * (1.0 - expected) / f64::from(n)).sqrt();
+        assert!((expected - 0.985).abs() < 1e-3, "expected = {expected}");
+        assert!((share - expected).abs() < 5.0 * sigma, "share = {share}");
+    }
+
+    #[test]
+    fn ziggurat_seeded_sequences_reproduce() {
+        let draw = |seed| -> Vec<u64> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..64)
+                .map(|_| standard_normal_ziggurat(&mut rng).to_bits())
+                .collect()
+        };
+        assert_eq!(draw(99), draw(99));
+        assert_ne!(draw(99), draw(100));
+        // Pinned values: a change here changes every thermal s-LLGS
+        // result, which must bump the engine's store schema version.
+        let mut rng = StdRng::seed_from_u64(42);
+        let head: Vec<f64> = (0..4).map(|_| standard_normal_ziggurat(&mut rng)).collect();
+        let pinned = [
+            0.834_397_546_845_870_6,
+            -0.514_962_928_148_376_5,
+            1.407_727_573_122_544,
+            0.464_454_861_226_875_2,
+        ];
+        for (got, want) in head.iter().zip(pinned) {
+            assert!((got - want).abs() < 1e-12, "{head:?}");
+        }
     }
 }
