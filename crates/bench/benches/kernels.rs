@@ -1,11 +1,11 @@
 //! Microbenchmarks of the numerical kernels underneath the figures.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mramsim_array::{clear_kernel_cache, CouplingAnalyzer, NeighborhoodPattern};
+use mramsim_array::{clear_kernel_cache, CouplingAnalyzer, NeighborhoodPattern, StrayFieldKernel};
 use mramsim_bench::{design_point_device, eval_device};
 use mramsim_magnetics::field_map::PlaneMap;
 use mramsim_magnetics::{AnalyticLoop, FieldSource, LoopSource, SourceSet};
-use mramsim_mtj::SwitchDirection;
+use mramsim_mtj::{presets, SwitchDirection};
 use mramsim_numerics::optimize::{levenberg_marquardt, LmOptions};
 use mramsim_numerics::{special, Vec3};
 use mramsim_units::{Kelvin, Nanometer, Oersted, Volt};
@@ -83,9 +83,10 @@ fn bench_elliptic(c: &mut Criterion) {
     });
 }
 
-/// The `kernels` group of the PR-2 performance work: scalar vs batched
-/// loop evaluation, the (batched + pooled) plane map against the old
-/// per-point scalar path, and warm- vs cold-cache analyzer builds.
+/// The `kernels` group: scalar vs batched loop evaluation, the batched
+/// and pooled plane map against the old per-point scalar path, the
+/// stray-field kernel build layer (loop construction and a cold
+/// kernel), and warm- vs cold-cache analyzer builds.
 fn bench_batched_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
 
@@ -161,6 +162,22 @@ fn bench_batched_kernels(c: &mut Criterion) {
             black_box(map.hz_range())
         })
     });
+
+    // The stray-field kernel build, layer by layer: constructing one
+    // polygon loop (vertices from the shared unit-circle table), then a
+    // cold kernel — the intra-cell field and the two ring-1 offsets —
+    // computed directly, bypassing the kernel cache.
+    for segments in [64usize, 256, 1024] {
+        group.bench_function(format!("loop_source_new_{segments}"), |b| {
+            b.iter(|| LoopSource::new(Vec3::ZERO, black_box(27.5e-9), 2.06e-3, segments).unwrap())
+        });
+    }
+    for segments in [64usize, 1024] {
+        let device = presets::imec_like_with(Nanometer::new(35.0), segments, false).unwrap();
+        group.bench_function(format!("stray_kernel_compute_{segments}"), |b| {
+            b.iter(|| StrayFieldKernel::compute(&device, black_box(Nanometer::new(70.0))).unwrap())
+        });
+    }
 
     // Analyzer builds: cold pays the full Biot–Savart kernel, warm is a
     // lookup in the process-wide content-addressed kernel cache.

@@ -536,8 +536,7 @@ fn run_job(
                     let mut obj = BTreeMap::new();
                     obj.insert("status".to_owned(), Json::Str("failed".to_owned()));
                     obj.insert("error".to_owned(), Json::Str(e.to_string()));
-                    job.push_line(Json::Obj(obj).render(), true);
-                    finish_job(state, job_id, &job.run_id);
+                    finish_job(state, job, job_id, Json::Obj(obj).render());
                     return;
                 }
             }
@@ -591,21 +590,28 @@ fn run_job(
         telemetry::counter_add("serve.poison_recoveries", 1);
         eprintln!("warning: {poisoned}");
     }
-    job.push_line(Json::Obj(obj).render(), true);
     // Release the run lock *before* leaving the live-run map: a
     // resubmission landing between the two would otherwise find the
     // journal still locked and fail with `RunInFlight`.
     drop(journal);
-    finish_job(state, job_id, &job.run_id);
+    finish_job(state, job, job_id, Json::Obj(obj).render());
 }
 
-/// Releases a finished job's admission slot and live-run entry.
-fn finish_job(state: &ServerState, job_id: &str, run_id: &str) {
+/// Publishes a job's final line and releases its live-run entry and
+/// admission slot.
+///
+/// The live-run entry goes first: once a client has read the final
+/// line, a resubmission of the same plan must start a new run (served
+/// warm from the cache), not join this finished one. The slot goes
+/// last, so a drain never sees zero jobs in flight while a final line
+/// is still unpublished.
+fn finish_job(state: &ServerState, job: &Job, job_id: &str, final_line: String) {
     let mut live = lock(&state.live_runs);
-    if live.get(run_id).map(String::as_str) == Some(job_id) {
-        live.remove(run_id);
+    if live.get(&job.run_id).map(String::as_str) == Some(job_id) {
+        live.remove(&job.run_id);
     }
     drop(live);
+    job.push_line(final_line, true);
     state.inflight.fetch_sub(1, Ordering::Relaxed);
 }
 

@@ -48,7 +48,7 @@ mod superposition;
 pub use analytic::{on_axis_field, AnalyticLoop};
 pub use dipole::Dipole;
 pub use error::MagneticsError;
-pub use loop_source::{LoopSource, SlicedLoop, DEFAULT_SEGMENTS};
+pub use loop_source::{LoopSource, SlicedLoop, DEFAULT_SEGMENTS, MAX_SEGMENTS};
 pub use superposition::{SourceKind, SourceSet};
 
 use mramsim_numerics::Vec3;

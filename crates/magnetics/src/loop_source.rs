@@ -2,6 +2,7 @@
 
 use crate::{FieldSource, MagneticsError};
 use mramsim_numerics::Vec3;
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Default number of polygon segments per loop.
 ///
@@ -9,6 +10,73 @@ use mramsim_numerics::Vec3;
 /// the relative error below `1e-4` everywhere outside ~1 segment length
 /// from the wire, which is far tighter than any device parameter is known.
 pub const DEFAULT_SEGMENTS: usize = 256;
+
+/// Largest accepted segment count (the discretisation limit).
+///
+/// A loop stores four `f64` arrays of this length, so the cap bounds a
+/// single loop at 2 MiB however large a requested count is. It is
+/// 256× the default; past ~1000 segments the polygon error is already
+/// below 1e-5 and the Biot–Savart cost only grows.
+pub const MAX_SEGMENTS: usize = 65_536;
+
+/// Number of distinct segment counts whose unit-circle tables are kept
+/// for the life of the process. Callers use a handful of counts (the
+/// default plus the `--segments` ablations); a count past this bound
+/// still gets its table, built per loop instead of cached.
+const CACHED_COUNTS: usize = 8;
+
+/// `cos θ_k` and `sin θ_k` for `θ_k = 2πk/N`, `k = 0..=N`, as two
+/// flat arrays so each loop axis is one vectorisable sweep.
+struct UnitCircle {
+    cos: Vec<f64>,
+    sin: Vec<f64>,
+}
+
+/// Cached unit-circle tables keyed by segment count, at most
+/// [`CACHED_COUNTS`] of them.
+type UnitCircles = Vec<(usize, Arc<UnitCircle>)>;
+
+/// The process-wide unit-circle tables.
+fn unit_circles() -> &'static RwLock<UnitCircles> {
+    static TABLES: OnceLock<RwLock<UnitCircles>> = OnceLock::new();
+    TABLES.get_or_init(|| RwLock::new(Vec::with_capacity(CACHED_COUNTS)))
+}
+
+/// The unit-circle vertices of a `segments`-gon, served from the
+/// process-wide table when present.
+///
+/// The angles use the exact expression the per-loop trigonometry always
+/// used, so loops built from the table are bit-identical to it. The
+/// table runs to `k = N` inclusive: `sin(2π)` is not zero in `f64`, so
+/// the closing vertex must not wrap to `k = 0`.
+fn unit_circle(segments: usize) -> Arc<UnitCircle> {
+    let cached = |tables: &UnitCircles| {
+        tables
+            .iter()
+            .find(|(n, _)| *n == segments)
+            .map(|(_, table)| Arc::clone(table))
+    };
+    let tables = unit_circles();
+    if let Some(table) = cached(&tables.read().expect("unit-circle tables poisoned")) {
+        return table;
+    }
+    let (cos, sin) = (0..=segments)
+        .map(|k| {
+            let theta = 2.0 * core::f64::consts::PI * k as f64 / segments as f64;
+            (theta.cos(), theta.sin())
+        })
+        .unzip();
+    let table = Arc::new(UnitCircle { cos, sin });
+    let mut tables = tables.write().expect("unit-circle tables poisoned");
+    // Another thread may have built the same table meanwhile: keep one.
+    if let Some(table) = cached(&tables) {
+        return table;
+    }
+    if tables.len() < CACHED_COUNTS {
+        tables.push((segments, Arc::clone(&table)));
+    }
+    table
+}
 
 /// Points per lane block in the batched Biot–Savart kernel: each pass
 /// over the segment arrays updates this many independent accumulators,
@@ -39,7 +107,9 @@ fn fmadd(a: f64, b: f64, c: f64) -> f64 {
 /// Segment midpoints and direction vectors `dl` are precomputed once at
 /// construction and stored in structure-of-arrays form, so every field
 /// evaluation is a straight sweep over six flat `f64` arrays with no
-/// per-point trigonometry.
+/// per-point trigonometry. Construction itself does no trigonometry
+/// either: the vertices are scaled from a unit-circle table shared by
+/// every loop with the same segment count and built once per process.
 ///
 /// # Examples
 ///
@@ -79,8 +149,8 @@ impl LoopSource {
     ///
     /// * [`MagneticsError::InvalidGeometry`] for a non-positive or
     ///   non-finite radius, or non-finite centre/current.
-    /// * [`MagneticsError::InvalidDiscretisation`] for fewer than 8
-    ///   segments.
+    /// * [`MagneticsError::InvalidDiscretisation`] for fewer than 8 or
+    ///   more than [`MAX_SEGMENTS`] segments.
     pub fn new(
         center: Vec3,
         radius: f64,
@@ -99,28 +169,36 @@ impl LoopSource {
                 message: format!("need at least 8 segments, got {segments}"),
             });
         }
-        // One vertex per segment boundary; the closing vertex is the
-        // first one (no duplicated vertex is stored — only the derived
-        // midpoints and dl vectors survive construction).
-        let vertex = |k: usize| {
-            let theta = 2.0 * core::f64::consts::PI * k as f64 / segments as f64;
-            center + Vec3::new(radius * theta.cos(), radius * theta.sin(), 0.0)
-        };
-        let mut mid_x = Vec::with_capacity(segments);
-        let mut mid_y = Vec::with_capacity(segments);
-        let mut dl_x = Vec::with_capacity(segments);
-        let mut dl_y = Vec::with_capacity(segments);
-        for k in 0..segments {
-            let a = vertex(k);
-            let b = vertex(k + 1);
-            let dl = b - a;
-            let mid = a.lerp(b, 0.5);
-            debug_assert!(dl.z == 0.0 && mid.z == center.z, "loop must be planar");
-            mid_x.push(mid.x);
-            mid_y.push(mid.y);
-            dl_x.push(dl.x);
-            dl_y.push(dl.y);
+        if segments > MAX_SEGMENTS {
+            return Err(MagneticsError::InvalidDiscretisation {
+                message: format!(
+                    "at most {MAX_SEGMENTS} segments per loop (the discretisation limit), \
+                     got {segments}"
+                ),
+            });
         }
+        // Vertex k sits at `center + radius·(cos θ_k, sin θ_k, 0)`; per
+        // axis, dl = b − a and the midpoint a + (b − a)·½ repeat the
+        // `Vec3` arithmetic of the vertex form exactly. The loop is
+        // planar, so only the in-plane components are stored.
+        let table = unit_circle(segments);
+        let axis = |origin: f64, unit: &[f64]| {
+            let vertex = |u: f64| origin + radius * u;
+            let dl: Vec<f64> = unit
+                .windows(2)
+                .map(|w| vertex(w[1]) - vertex(w[0]))
+                .collect();
+            let mid: Vec<f64> = unit
+                .windows(2)
+                .map(|w| {
+                    let a = vertex(w[0]);
+                    a + (vertex(w[1]) - a) * 0.5
+                })
+                .collect();
+            (mid, dl)
+        };
+        let (mid_x, dl_x) = axis(center.x, &table.cos);
+        let (mid_y, dl_y) = axis(center.y, &table.sin);
         Ok(Self {
             center,
             radius,
@@ -383,6 +461,126 @@ impl FieldSource for SlicedLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The segment counts whose unit-circle tables are currently cached.
+    fn cached_unit_circle_counts() -> Vec<usize> {
+        unit_circles()
+            .read()
+            .expect("unit-circle tables poisoned")
+            .iter()
+            .map(|(n, _)| *n)
+            .collect()
+    }
+
+    /// A loop built the way `LoopSource::new` did before the shared
+    /// tables: two `cos`/`sin` pairs per segment, straight from `θ_k`.
+    fn reference_loop(center: Vec3, radius: f64, current: f64, segments: usize) -> LoopSource {
+        let vertex = |k: usize| {
+            let theta = 2.0 * core::f64::consts::PI * k as f64 / segments as f64;
+            center + Vec3::new(radius * theta.cos(), radius * theta.sin(), 0.0)
+        };
+        let (mut mid_x, mut mid_y, mut dl_x, mut dl_y) = (vec![], vec![], vec![], vec![]);
+        for k in 0..segments {
+            let a = vertex(k);
+            let b = vertex(k + 1);
+            let dl = b - a;
+            let mid = a.lerp(b, 0.5);
+            mid_x.push(mid.x);
+            mid_y.push(mid.y);
+            dl_x.push(dl.x);
+            dl_y.push(dl.y);
+        }
+        LoopSource {
+            center,
+            radius,
+            current,
+            mid_x,
+            mid_y,
+            dl_x,
+            dl_y,
+        }
+    }
+
+    /// Builds a loop through the table and checks its segment arrays
+    /// against [`reference_loop`] bit for bit (`==` would let `-0.0`
+    /// pass for `0.0`).
+    fn assert_matches_reference(center: Vec3, radius: f64, current: f64, segments: usize) {
+        let got = LoopSource::new(center, radius, current, segments).unwrap();
+        let want = reference_loop(center, radius, current, segments);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (name, g, w) in [
+            ("mid_x", &got.mid_x, &want.mid_x),
+            ("mid_y", &got.mid_y, &want.mid_y),
+            ("dl_x", &got.dl_x, &want.dl_x),
+            ("dl_y", &got.dl_y, &want.dl_y),
+        ] {
+            assert!(
+                bits(g) == bits(w),
+                "{name} differs from the reference at N = {segments}"
+            );
+        }
+        assert_eq!(got, want);
+    }
+
+    /// Requests more distinct counts than the table keeps, so every
+    /// count not yet cached afterwards takes the uncached path.
+    fn fill_unit_circle_cache() {
+        for n in 3000..=3000 + CACHED_COUNTS {
+            let _ = unit_circle(n);
+        }
+        assert_eq!(cached_unit_circle_counts().len(), CACHED_COUNTS);
+    }
+
+    #[test]
+    fn table_built_loops_are_bit_identical_to_per_loop_trigonometry() {
+        let center = Vec3::new(3.1e-8, -7.7e-9, -2.5e-9);
+        for n in [8usize, 9, 63, 64, 255, 256, 1000, 1024] {
+            assert_matches_reference(center, 2.75e-8, -1.43e-3, n);
+        }
+        // 4099 is used by no other test: with the table full it can
+        // only take the uncached path.
+        fill_unit_circle_cache();
+        assert_matches_reference(center, 2.75e-8, -1.43e-3, 4099);
+        assert!(!cached_unit_circle_counts().contains(&4099));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn table_built_loops_match_reference_for_any_geometry(
+            cx in -1e-6f64..1e-6,
+            cy in -1e-6f64..1e-6,
+            cz in -1e-8f64..1e-8,
+            radius in 1e-9f64..1e-6,
+            current in -5e-3f64..5e-3,
+            segments in 8usize..2049,
+        ) {
+            assert_matches_reference(Vec3::new(cx, cy, cz), radius, current, segments);
+        }
+    }
+
+    #[test]
+    fn unit_circle_cache_stays_at_its_bound() {
+        for n in (0..3 * CACHED_COUNTS).map(|i| 100 + 7 * i) {
+            assert_matches_reference(Vec3::new(1e-8, 2e-8, 0.0), 1.75e-8, 2e-3, n);
+            assert!(cached_unit_circle_counts().len() <= CACHED_COUNTS);
+        }
+        assert_eq!(cached_unit_circle_counts().len(), CACHED_COUNTS);
+    }
+
+    #[test]
+    fn segment_count_past_the_limit_is_rejected() {
+        for n in [MAX_SEGMENTS + 1, 1_000_000_000, usize::MAX] {
+            let err = LoopSource::new(Vec3::ZERO, 1e-8, 1e-3, n).unwrap_err();
+            assert!(
+                matches!(err, MagneticsError::InvalidDiscretisation { .. }),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("discretisation limit"), "{err}");
+        }
+    }
 
     #[test]
     fn center_field_matches_textbook_value() {

@@ -64,7 +64,8 @@ pub fn imec_like(ecd: Nanometer) -> Result<MtjDevice, MtjError> {
 /// # Errors
 ///
 /// Propagates construction errors (non-positive `ecd`, or a `segments`
-/// count below 8 when a loop is eventually built).
+/// count below 8 or above [`mramsim_magnetics::MAX_SEGMENTS`] when a
+/// loop is eventually built).
 ///
 /// # Examples
 ///
