@@ -7,6 +7,12 @@
 use crate::{ArrayError, NeighborhoodPattern};
 use mramsim_mtj::MtjState;
 
+/// Most cells one [`CellArray`] holds (2²⁰, a 1024×1024 array). The
+/// array stores every cell, so dimensions from outside the program are
+/// bounded here, before the allocation; megabit-and-up grids go through
+/// the implicit [`crate::PatternGrid`] instead.
+pub const MAX_CELLS: usize = 1 << 20;
+
 /// An N×M array of MTJ cell states with neighbourhood extraction.
 ///
 /// Cells are addressed `(row, col)`; the paper's aggressor ordering
@@ -40,7 +46,8 @@ impl CellArray {
     ///
     /// # Errors
     ///
-    /// Returns [`ArrayError::InvalidParameter`] for zero dimensions.
+    /// Returns [`ArrayError::InvalidParameter`] for zero dimensions or
+    /// more than [`MAX_CELLS`] cells.
     pub fn filled(rows: usize, cols: usize, state: MtjState) -> Result<Self, ArrayError> {
         if rows == 0 || cols == 0 {
             return Err(ArrayError::InvalidParameter {
@@ -48,10 +55,19 @@ impl CellArray {
                 message: format!("array dimensions must be positive, got {rows}x{cols}"),
             });
         }
+        let cells = rows
+            .checked_mul(cols)
+            .filter(|&n| n <= MAX_CELLS)
+            .ok_or_else(|| ArrayError::InvalidParameter {
+                name: "rows/cols",
+                message: format!(
+                    "a {rows}x{cols} array exceeds the limit MAX_CELLS = {MAX_CELLS} (2^20) cells"
+                ),
+            })?;
         Ok(Self {
             rows,
             cols,
-            bits: vec![state; rows * cols],
+            bits: vec![state; cells],
         })
     }
 
@@ -60,7 +76,7 @@ impl CellArray {
     ///
     /// # Errors
     ///
-    /// Returns [`ArrayError::InvalidParameter`] for zero dimensions.
+    /// Returns [`ArrayError::InvalidParameter`] as [`Self::filled`] does.
     pub fn checkerboard(rows: usize, cols: usize) -> Result<Self, ArrayError> {
         Self::from_fn(rows, cols, |r, c| {
             if (r + c) % 2 == 1 {
@@ -75,7 +91,7 @@ impl CellArray {
     ///
     /// # Errors
     ///
-    /// Returns [`ArrayError::InvalidParameter`] for zero dimensions.
+    /// Returns [`ArrayError::InvalidParameter`] as [`Self::filled`] does.
     pub fn from_fn(
         rows: usize,
         cols: usize,
@@ -204,6 +220,17 @@ mod tests {
         assert_eq!(a.len(), 20);
         assert_eq!(a.count_ap(), 20);
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn cell_count_is_capped_with_a_checked_multiply() {
+        let at_cap = CellArray::filled(1024, 1024, MtjState::Parallel).unwrap();
+        assert_eq!(at_cap.len(), MAX_CELLS);
+        for (rows, cols) in [(1024, 1025), (100_000, 100_000), (usize::MAX, 2)] {
+            let err = CellArray::checkerboard(rows, cols).unwrap_err();
+            assert!(matches!(err, ArrayError::InvalidParameter { .. }));
+            assert!(err.to_string().contains("MAX_CELLS"), "{err}");
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! the relative offset. [`StrayFieldKernel`] computes them once and a
 //! process-wide table keyed by an FNV-1a content address (the same
 //! hashing approach as the engine's result cache) serves every later
-//! analyzer, simulator, and sweep point for free.
+//! analyzer, simulator, and sweep point for free. The hierarchical
+//! outer-ring kernels use the same memo table type.
 
-use crate::{diagonal_neighbor_offsets, direct_neighbor_offsets, ArrayError};
+use crate::{diagonal_neighbor_offsets, direct_neighbor_offsets, ArrayError, HierarchicalKernel};
 use mramsim_magnetics::FieldSource;
 use mramsim_mtj::{MtjDevice, MtjState};
 use mramsim_numerics::hash::fnv1a;
@@ -20,7 +21,7 @@ use mramsim_numerics::Vec3;
 use mramsim_units::Nanometer;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, LazyLock, RwLock};
 
 /// The three per-offset field contributions of one aggressor cell, all
 /// in A/m at the victim FL centre.
@@ -69,7 +70,6 @@ pub struct KernelCacheStats {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrayFieldKernel {
-    fingerprint: String,
     intra_hz: f64,
     direct: OffsetField,
     diagonal: OffsetField,
@@ -84,14 +84,6 @@ impl StrayFieldKernel {
     ///   overlap) or is non-finite.
     /// * [`ArrayError::Device`] if loop construction fails.
     pub fn compute(device: &MtjDevice, pitch: Nanometer) -> Result<Self, ArrayError> {
-        Self::compute_with_fingerprint(device, pitch, fingerprint(device, pitch))
-    }
-
-    fn compute_with_fingerprint(
-        device: &MtjDevice,
-        pitch: Nanometer,
-        fingerprint: String,
-    ) -> Result<Self, ArrayError> {
         if !pitch.is_finite() || pitch.value() < device.ecd().value() {
             return Err(ArrayError::InvalidParameter {
                 name: "pitch",
@@ -107,7 +99,6 @@ impl StrayFieldKernel {
         let (dx, dy) = direct_neighbor_offsets(pitch)[0];
         let (gx, gy) = diagonal_neighbor_offsets(pitch)[0];
         Ok(Self {
-            fingerprint,
             intra_hz: device
                 .stack()
                 .intra_hz_at(device.ecd(), Vec3::ZERO)?
@@ -125,31 +116,7 @@ impl StrayFieldKernel {
     ///
     /// Same contract as [`StrayFieldKernel::compute`].
     pub fn shared(device: &MtjDevice, pitch: Nanometer) -> Result<Arc<Self>, ArrayError> {
-        let fp = fingerprint(device, pitch);
-        let key = fnv1a(fp.as_bytes());
-        let table = cache();
-        if let Some(found) = table.map.read().expect("kernel cache poisoned").get(&key) {
-            // Guard against an FNV collision: the hit must carry the
-            // exact fingerprint, not just the same 64-bit digest.
-            if found.fingerprint == fp {
-                table.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(found));
-            }
-        }
-        table.misses.fetch_add(1, Ordering::Relaxed);
-        let kernel = Arc::new(Self::compute_with_fingerprint(device, pitch, fp)?);
-        table
-            .map
-            .write()
-            .expect("kernel cache poisoned")
-            .insert(key, Arc::clone(&kernel));
-        Ok(kernel)
-    }
-
-    /// The canonical fingerprint the cache keys on.
-    #[must_use]
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
+        KERNELS.get_or_try_insert(fingerprint(device, pitch), || Self::compute(device, pitch))
     }
 
     /// The victim's own intra-cell field `Hz_s_intra` at the FL centre
@@ -261,32 +228,79 @@ pub(crate) fn fingerprint(device: &MtjDevice, pitch: Nanometer) -> String {
     fp
 }
 
-struct KernelCache {
-    map: RwLock<HashMap<u64, Arc<StrayFieldKernel>>>,
+/// A process-wide memo table of one kind of field precomputation: an
+/// FNV-1a digest of the canonical fingerprint maps to the fingerprint
+/// itself and the value.
+pub(crate) struct KernelMemo<T> {
+    map: RwLock<HashMap<u64, (String, Arc<T>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-fn cache() -> &'static KernelCache {
-    static CACHE: OnceLock<KernelCache> = OnceLock::new();
-    CACHE.get_or_init(|| KernelCache {
-        map: RwLock::new(HashMap::new()),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    })
+impl<T> KernelMemo<T> {
+    fn new() -> Self {
+        Self {
+            map: RwLock::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// The entry for `fingerprint`: served from the table when present,
+    /// computed and inserted otherwise.
+    pub(crate) fn get_or_try_insert<E>(
+        &self,
+        fingerprint: String,
+        compute: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E> {
+        let key = fnv1a(fingerprint.as_bytes());
+        if let Some((found_fp, found)) = self.map.read().expect("kernel cache poisoned").get(&key) {
+            // Guard against an FNV collision: the hit must carry the
+            // exact fingerprint, not just the same 64-bit digest.
+            if *found_fp == fingerprint {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(Arc::clone(found));
+            }
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = Arc::new(compute()?);
+        self.map
+            .write()
+            .expect("kernel cache poisoned")
+            .insert(key, (fingerprint, Arc::clone(&value)));
+        Ok(value)
+    }
+
+    fn stats(&self) -> KernelCacheStats {
+        KernelCacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.map.read().expect("kernel cache poisoned").len(),
+        }
+    }
+
+    fn clear(&self) {
+        self.map.write().expect("kernel cache poisoned").clear();
+    }
 }
 
+/// The ring-1 kernels.
+static KERNELS: LazyLock<KernelMemo<StrayFieldKernel>> = LazyLock::new(KernelMemo::new);
+
+/// The hierarchical outer-ring kernels.
+pub(crate) static HIERARCHIES: LazyLock<KernelMemo<HierarchicalKernel>> =
+    LazyLock::new(KernelMemo::new);
+
 /// Current counters of the process-wide kernel caches — the ring-1
-/// table here plus the hierarchical outer-ring table, reported as one
-/// pool (both are `(device, pitch)`-keyed field precomputations).
+/// table plus the hierarchical outer-ring table, reported as one pool
+/// (both are `(device, pitch)`-keyed field precomputations).
 #[must_use]
 pub fn kernel_cache_stats() -> KernelCacheStats {
-    let table = cache();
-    let (h_hits, h_misses, h_entries) = crate::hierarchy::cache_raw_stats();
+    let (ring1, outer) = (KERNELS.stats(), HIERARCHIES.stats());
     KernelCacheStats {
-        hits: table.hits.load(Ordering::Relaxed) + h_hits,
-        misses: table.misses.load(Ordering::Relaxed) + h_misses,
-        entries: table.map.read().expect("kernel cache poisoned").len() + h_entries,
+        hits: ring1.hits + outer.hits,
+        misses: ring1.misses + outer.misses,
+        entries: ring1.entries + outer.entries,
     }
 }
 
@@ -294,8 +308,8 @@ pub fn kernel_cache_stats() -> KernelCacheStats {
 /// accumulating). Used by cold-cache benchmarks and long-running
 /// services that change device populations wholesale.
 pub fn clear_kernel_cache() {
-    cache().map.write().expect("kernel cache poisoned").clear();
-    crate::hierarchy::clear_cache();
+    KERNELS.clear();
+    HIERARCHIES.clear();
 }
 
 #[cfg(test)]
@@ -349,14 +363,16 @@ mod tests {
         let a = StrayFieldKernel::shared(&dev, Nanometer::new(75.0)).unwrap();
         let b = StrayFieldKernel::shared(&dev, Nanometer::new(76.0)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        let at = |device: &MtjDevice| fingerprint(device, Nanometer::new(75.0));
+        assert_ne!(at(&dev), fingerprint(&dev, Nanometer::new(76.0)));
         // Different field-model knobs are different cache entries too.
         let coarse = presets::imec_like_with(Nanometer::new(35.0), 64, false).unwrap();
         let exact = presets::imec_like_with(Nanometer::new(35.0), 64, true).unwrap();
         let c = StrayFieldKernel::shared(&coarse, Nanometer::new(75.0)).unwrap();
         let d = StrayFieldKernel::shared(&exact, Nanometer::new(75.0)).unwrap();
-        assert_ne!(c.fingerprint(), d.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
+        assert!(!Arc::ptr_eq(&c, &d));
+        assert_ne!(at(&coarse), at(&exact));
+        assert_ne!(at(&dev), at(&coarse));
     }
 
     #[test]

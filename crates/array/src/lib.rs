@@ -47,7 +47,7 @@ mod rings;
 mod sweep;
 
 pub use campaign::{cell_field_map, CellField, DataPattern};
-pub use cell_array::CellArray;
+pub use cell_array::{CellArray, MAX_CELLS};
 pub use coupling::{CouplingAnalyzer, InterFieldBreakdown};
 pub use density::{array_density_bits_per_um2, ArrayDensity};
 pub use error::ArrayError;

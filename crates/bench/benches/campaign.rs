@@ -10,7 +10,7 @@ use mramsim_dynamics::{
     cell_seed, wer_campaign, wer_monte_carlo, CellDrive, EnsemblePlan, MacrospinParams,
 };
 use mramsim_faults::{
-    array_wer_campaign, shard_wer_campaign, ArrayWerConfig, ShardPlan, SparseWerConfig,
+    array_wer_campaign, shard_wer_campaign, ArrayWerConfig, ShardPlan, SparseWerConfig, WerTotals,
 };
 use mramsim_mtj::{presets, MtjDevice, SwitchDirection};
 use mramsim_numerics::pool::WorkerPool;

@@ -26,6 +26,15 @@ use mramsim_telemetry as telemetry;
 /// Replicas stepped together in one structure-of-arrays block.
 pub const LANES: usize = 16;
 
+/// Most replicas one [`EnsemblePlan`] admits (2²⁴). Per-replica outcome
+/// buffers are allocated up front, so an unbounded count aborts the
+/// process on allocation instead of failing the request.
+pub const MAX_TRAJECTORIES: usize = 1 << 24;
+
+/// Most Heun steps one replica may take (2²²): a duration/step ratio
+/// past this is a typo'd `dt` or span, not a simulation that finishes.
+pub const MAX_STEPS: usize = 1 << 22;
+
 /// The reproducible execution plan of one ensemble.
 ///
 /// Every field is part of the result's identity: the engine folds all
@@ -49,13 +58,22 @@ impl EnsemblePlan {
     ///
     /// # Errors
     ///
-    /// [`DynamicsError::InvalidParameter`] for zero trajectories or a
-    /// non-positive/non-finite `dt`.
+    /// [`DynamicsError::InvalidParameter`] for zero trajectories, more
+    /// than [`MAX_TRAJECTORIES`], or a non-positive/non-finite `dt`.
     pub fn new(trajectories: usize, seed: u64, dt: f64) -> Result<Self, DynamicsError> {
         if trajectories == 0 {
             return Err(DynamicsError::InvalidParameter {
                 name: "trajectories",
                 message: "need at least one replica".into(),
+            });
+        }
+        if trajectories > MAX_TRAJECTORIES {
+            return Err(DynamicsError::InvalidParameter {
+                name: "trajectories",
+                message: format!(
+                    "{trajectories} replicas exceed the limit \
+                     MAX_TRAJECTORIES = {MAX_TRAJECTORIES} (2^24)"
+                ),
             });
         }
         if !(dt > 0.0) || !dt.is_finite() {
@@ -85,6 +103,29 @@ impl EnsemblePlan {
     #[must_use]
     pub fn steps_for(&self, duration: f64) -> usize {
         crate::llgs::snapped_steps(duration, self.dt)
+    }
+
+    /// [`Self::steps_for`], rejecting a span that needs more than
+    /// [`MAX_STEPS`] steps per replica. Call it wherever a
+    /// caller-supplied duration meets a plan, before any stepping.
+    ///
+    /// # Errors
+    ///
+    /// [`DynamicsError::InvalidParameter`] past [`MAX_STEPS`].
+    pub fn checked_steps(&self, duration: f64) -> Result<usize, DynamicsError> {
+        let steps = self.steps_for(duration);
+        if steps > MAX_STEPS {
+            return Err(DynamicsError::InvalidParameter {
+                name: "dt",
+                message: format!(
+                    "{duration:e} s at a {:e} s step needs {:e} steps per replica, \
+                     past the limit MAX_STEPS = {MAX_STEPS} (2^22)",
+                    self.dt,
+                    duration / self.dt
+                ),
+            });
+        }
+        Ok(steps)
     }
 }
 
@@ -341,5 +382,20 @@ mod tests {
         let plan = EnsemblePlan::new(8, 1, 1e-12).unwrap();
         assert_eq!(plan.steps_for(1e-9), 1000);
         assert_eq!(plan.steps_for(1e-13), 1);
+    }
+
+    #[test]
+    fn plan_limits_sit_exactly_at_their_caps() {
+        assert!(EnsemblePlan::new(MAX_TRAJECTORIES, 1, 1e-12).is_ok());
+        let err = EnsemblePlan::new(MAX_TRAJECTORIES + 1, 1, 1e-12).unwrap_err();
+        assert!(err.to_string().contains("MAX_TRAJECTORIES"), "{err}");
+        let plan = EnsemblePlan::new(8, 1, 1e-12).unwrap();
+        let at_cap = MAX_STEPS as f64 * 1e-12;
+        assert_eq!(plan.checked_steps(at_cap).unwrap(), MAX_STEPS);
+        let err = plan.checked_steps(at_cap + 1e-12).unwrap_err();
+        assert!(err.to_string().contains("MAX_STEPS"), "{err}");
+        // A vanishing step saturates the count instead of hanging.
+        let tiny = EnsemblePlan::new(8, 1, 1e-42).unwrap();
+        assert!(tiny.checked_steps(1.3e-9).is_err());
     }
 }

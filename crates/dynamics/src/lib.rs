@@ -58,7 +58,9 @@ pub mod llgs;
 mod mc;
 
 pub use campaign::{cell_seed, wer_campaign, wer_campaign_seeded, CellDrive};
-pub use ensemble::{run_ensemble, run_replica, EnsemblePlan, ReplicaOutcome, LANES};
+pub use ensemble::{
+    run_ensemble, run_replica, EnsemblePlan, ReplicaOutcome, LANES, MAX_STEPS, MAX_TRAJECTORIES,
+};
 pub use error::DynamicsError;
 pub use llgs::{heun_step, record_trajectory, MacrospinParams, GAMMA_0, GYROMAGNETIC_RATIO};
 pub use mc::{switching_time_distribution, wer_monte_carlo, SwitchingTimes, WerEstimate};

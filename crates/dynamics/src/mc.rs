@@ -162,8 +162,8 @@ pub struct SwitchingTimes {
 ///
 /// # Errors
 ///
-/// [`DynamicsError::InvalidParameter`] for a non-positive `duration`
-/// or zero `bins`.
+/// [`DynamicsError::InvalidParameter`] for a non-positive `duration`,
+/// one past [`crate::MAX_STEPS`] steps, or zero `bins`.
 pub fn switching_time_distribution(
     params: &MacrospinParams,
     current: f64,
@@ -188,7 +188,7 @@ pub fn switching_time_distribution(
     // overshoot a non-commensurate `duration`), nudged one part in 1e12
     // above it so a final-step crossing lands in the last bin instead
     // of the invisible overflow counter.
-    let end_ns = plan.steps_for(duration) as f64 * plan.dt * 1e9;
+    let end_ns = plan.checked_steps(duration)? as f64 * plan.dt * 1e9;
     let mut histogram = Histogram::new(0.0, end_ns * (1.0 + 1e-12), bins)?;
     let outcomes = run_ensemble(params, current, duration, plan, pool);
     let times_ns: Vec<f64> = outcomes

@@ -22,7 +22,7 @@ use mramsim_dynamics::{
 use mramsim_faults::march::MarchTest;
 use mramsim_faults::{
     array_wer_campaign, classify_write_faults, shard_wer_campaign, ArraySimulator, ArrayWerConfig,
-    ShardPlan, SparseWerConfig, WriteConditions,
+    ShardPlan, SparseWerConfig, WerTotals, WriteConditions, WriteWer,
 };
 use mramsim_mtj::wer::write_error_rate_saturating;
 use mramsim_mtj::{presets, MtjDevice, SwitchDirection};
@@ -65,6 +65,13 @@ fn field_model_specs() -> [ParamSpec; 2] {
 /// Reads the field-model knobs: `(segments, exact)`.
 fn field_model_of(params: &ParamSet) -> Result<(usize, bool), EngineError> {
     Ok((params.count("segments")?, params.count("exact")? != 0))
+}
+
+/// Builds the `--ecd` device under the field-model knobs.
+fn device_of(scenario: &'static str, params: &ParamSet) -> Result<MtjDevice, EngineError> {
+    let (segments, exact) = field_model_of(params)?;
+    presets::imec_like_with(Nanometer::new(params.number("ecd")?), segments, exact)
+        .map_err(|e| model_err(scenario, e))
 }
 
 /// An ordered, immutable set of registered scenarios.
@@ -693,10 +700,7 @@ impl Scenario for FaultsScenario {
     }
 
     fn run(&self, params: &ParamSet) -> Result<ScenarioOutput, EngineError> {
-        let (segments, exact) = field_model_of(params)?;
-        let device =
-            presets::imec_like_with(Nanometer::new(params.number("ecd")?), segments, exact)
-                .map_err(|e| model_err("faults", e))?;
+        let device = device_of("faults", params)?;
         let pitch = Nanometer::new(params.number("pitch")?);
         let rows = params.count("rows")?;
         let cols = params.count("cols")?;
@@ -838,9 +842,7 @@ fn resolve_dynamics_point(
     scenario: &'static str,
     params: &ParamSet,
 ) -> Result<DynamicsPoint, EngineError> {
-    let (segments, exact) = field_model_of(params)?;
-    let device = presets::imec_like_with(Nanometer::new(params.number("ecd")?), segments, exact)
-        .map_err(|e| model_err(scenario, e))?;
+    let device = device_of(scenario, params)?;
     let direction = match params.text("direction")? {
         "ap2p" => SwitchDirection::ApToP,
         "p2ap" => SwitchDirection::PToAp,
@@ -956,6 +958,10 @@ impl Scenario for WerMcScenario {
             });
         }
         let pulse = pulse_ns * 1e-9;
+        point
+            .plan
+            .checked_steps(pulse)
+            .map_err(|e| model_err("wer-mc", e))?;
         let pool = WorkerPool::new(crate::scenario_workers());
         let est = wer_monte_carlo(&point.macrospin, point.drive, pulse, &point.plan, &pool);
         // Voltage drives go through the saturating device-level API (so
@@ -1101,6 +1107,101 @@ impl Scenario for SwitchTrajScenario {
     }
 }
 
+/// The parameters of the two write campaigns, in listed order: the
+/// device and pitch, the scenario's `rows`/`cols`, the data pattern,
+/// the scenario's own knobs, the write conditions (`replicas` documents
+/// `trajectories`), then the field-model knobs.
+fn campaign_specs(
+    grid: [ParamSpec; 2],
+    knobs: impl IntoIterator<Item = ParamSpec>,
+    replicas: &'static str,
+) -> Vec<ParamSpec> {
+    let mut specs = vec![
+        ParamSpec::new("ecd", "device size (nm)", 35.0),
+        ParamSpec::new(
+            "pitch",
+            "array pitch (nm), sweep it for WER-vs-density",
+            70.0,
+        ),
+    ];
+    specs.extend(grid);
+    specs.push(ParamSpec::new(
+        "pattern",
+        "array data: zeros | ones | checkerboard",
+        "checkerboard",
+    ));
+    specs.extend(knobs);
+    specs.extend([
+        ParamSpec::new("voltage_v", "write pulse amplitude (V)", 0.9),
+        ParamSpec::new("pulse_ns", "write pulse width (ns)", 8.0),
+        ParamSpec::new("temperature_k", "temperature (K)", 300.0),
+        ParamSpec::new("trajectories", replicas, 64.0),
+        ParamSpec::new("seed", "campaign base seed", 7.0),
+        ParamSpec::new("dt_ps", "integrator time step (ps)", 2.0),
+        ParamSpec::new(
+            "thermal",
+            "1: thermal fluctuation field active during the pulse",
+            1.0,
+        ),
+        ParamSpec::new("wer_budget", "per-cell WER fault threshold", 0.01),
+    ]);
+    specs.extend(field_model_specs());
+    specs
+}
+
+/// Reads the write point both campaigns share: the device, the pitch,
+/// and the write config.
+fn campaign_of(
+    scenario: &'static str,
+    params: &ParamSet,
+) -> Result<(MtjDevice, Nanometer, ArrayWerConfig), EngineError> {
+    let device = device_of(scenario, params)?;
+    let pitch = Nanometer::new(params.number("pitch")?);
+    let config = ArrayWerConfig {
+        voltage: Volt::new(params.number("voltage_v")?),
+        pulse: Nanosecond::new(params.number("pulse_ns")?),
+        temperature: Kelvin::new(params.number("temperature_k")?),
+        trajectories: params.count("trajectories")?,
+        seed: seed_of(params, "seed")?,
+        dt: params.number("dt_ps")? * 1e-12,
+        thermal: params.count("thermal")? != 0,
+        wer_budget: params.number("wer_budget")?,
+    };
+    Ok((device, pitch, config))
+}
+
+/// The ten result columns both campaign tables end with.
+const WRITE_COLUMNS: [&str; 10] = [
+    "stored",
+    "direction",
+    "np",
+    "hz_oe",
+    "drive_ua",
+    "ic_ua",
+    "failures",
+    "wer_mc",
+    "wer_analytic",
+    "faulty",
+];
+
+/// One table row: the row's leading `key` cells, then [`WRITE_COLUMNS`].
+fn write_row(key: impl IntoIterator<Item = String>, write: &WriteWer) -> Vec<String> {
+    key.into_iter()
+        .chain([
+            write.stored.to_string(),
+            write.direction.to_string(),
+            write.np.bits().to_string(),
+            format!("{:.2}", write.hz_stray.value()),
+            format!("{:.2}", write.drive_ua),
+            format!("{:.2}", write.ic_ua),
+            write.mc.failures.to_string(),
+            format!("{:.6}", write.mc.wer),
+            format!("{:.6}", write.analytic),
+            u8::from(write.faulty).to_string(),
+        ])
+        .collect()
+}
+
 /// Array-scale Monte-Carlo write campaign: per-cell WER fault maps.
 struct ArrayWerScenario;
 
@@ -1114,63 +1215,28 @@ impl Scenario for ArrayWerScenario {
     }
 
     fn params(&self) -> Vec<ParamSpec> {
-        let mut specs = vec![
-            ParamSpec::new("ecd", "device size (nm)", 35.0),
-            ParamSpec::new(
-                "pitch",
-                "array pitch (nm), sweep it for WER-vs-density",
-                70.0,
-            ),
-            ParamSpec::new("rows", "array rows", 8.0),
-            ParamSpec::new("cols", "array columns", 8.0),
-            ParamSpec::new(
-                "pattern",
-                "array data: zeros | ones | checkerboard",
-                "checkerboard",
-            ),
-            ParamSpec::new("voltage_v", "write pulse amplitude (V)", 0.9),
-            ParamSpec::new("pulse_ns", "write pulse width (ns)", 8.0),
-            ParamSpec::new("temperature_k", "temperature (K)", 300.0),
-            ParamSpec::new("trajectories", "Monte-Carlo replicas per cell", 64.0),
-            ParamSpec::new("seed", "campaign base seed", 7.0),
-            ParamSpec::new("dt_ps", "integrator time step (ps)", 2.0),
-            ParamSpec::new(
-                "thermal",
-                "1: thermal fluctuation field active during the pulse",
-                1.0,
-            ),
-            ParamSpec::new("wer_budget", "per-cell WER fault threshold", 0.01),
-        ];
-        specs.extend(field_model_specs());
-        specs
+        campaign_specs(
+            [
+                ParamSpec::new("rows", "array rows", 8.0),
+                ParamSpec::new("cols", "array columns", 8.0),
+            ],
+            [],
+            "Monte-Carlo replicas per cell",
+        )
     }
 
     fn run(&self, params: &ParamSet) -> Result<ScenarioOutput, EngineError> {
-        let (segments, exact) = field_model_of(params)?;
-        let device =
-            presets::imec_like_with(Nanometer::new(params.number("ecd")?), segments, exact)
-                .map_err(|e| model_err("array-wer", e))?;
-        let pitch = Nanometer::new(params.number("pitch")?);
+        let (device, pitch, config) = campaign_of("array-wer", params)?;
         let rows = params.count("rows")?;
         let cols = params.count("cols")?;
         let data = DataPattern::parse(params.text("pattern")?)
             .and_then(|p| p.build(rows, cols))
             .map_err(|e| model_err("array-wer", e))?;
-        let config = ArrayWerConfig {
-            voltage: Volt::new(params.number("voltage_v")?),
-            pulse: Nanosecond::new(params.number("pulse_ns")?),
-            temperature: Kelvin::new(params.number("temperature_k")?),
-            trajectories: params.count("trajectories")?,
-            seed: seed_of(params, "seed")?,
-            dt: params.number("dt_ps")? * 1e-12,
-            thermal: params.count("thermal")? != 0,
-            wer_budget: params.number("wer_budget")?,
-        };
         let pool = WorkerPool::new(crate::scenario_workers());
         let report = array_wer_campaign(&device, pitch, &data, &config, &pool)
             .map_err(|e| model_err("array-wer", e))?;
 
-        let worst_analytic = report.cells.iter().map(|c| c.analytic).fold(0.0, f64::max);
+        let worst_analytic = report.worst_analytic();
         let mut summary = Table::new("array-wer: campaign summary", &["quantity", "value"]);
         summary.push_row(&["array", &format!("{rows}x{cols}")]);
         summary.push_row(&["pattern", params.text("pattern")?]);
@@ -1189,36 +1255,13 @@ impl Scenario for ArrayWerScenario {
 
         let mut map = Table::new(
             "array-wer: per-cell fault map",
-            &[
-                "row",
-                "col",
-                "stored",
-                "direction",
-                "np",
-                "hz_oe",
-                "drive_ua",
-                "ic_ua",
-                "failures",
-                "wer_mc",
-                "wer_analytic",
-                "faulty",
-            ],
+            &[&["row", "col"][..], &WRITE_COLUMNS].concat(),
         );
         for cell in &report.cells {
-            map.push_row(&[
-                cell.row.to_string(),
-                cell.col.to_string(),
-                cell.stored.to_string(),
-                cell.direction.to_string(),
-                cell.np.bits().to_string(),
-                format!("{:.2}", cell.hz_stray.value()),
-                format!("{:.2}", cell.drive_ua),
-                format!("{:.2}", cell.ic_ua),
-                cell.mc.failures.to_string(),
-                format!("{:.6}", cell.mc.wer),
-                format!("{:.6}", cell.analytic),
-                u8::from(cell.faulty).to_string(),
-            ]);
+            map.push_row(&write_row(
+                [cell.row.to_string(), cell.col.to_string()],
+                &cell.write,
+            ));
         }
 
         Ok(ScenarioOutput::from_table(summary)
@@ -1248,60 +1291,36 @@ impl Scenario for ArrayWerShardScenario {
     }
 
     fn params(&self) -> Vec<ParamSpec> {
-        let mut specs = vec![
-            ParamSpec::new("ecd", "device size (nm)", 35.0),
-            ParamSpec::new(
-                "pitch",
-                "array pitch (nm), sweep it for WER-vs-density",
-                70.0,
-            ),
-            ParamSpec::new("rows", "full grid rows", 256.0),
-            ParamSpec::new("cols", "full grid columns", 256.0),
-            ParamSpec::new(
-                "pattern",
-                "array data: zeros | ones | checkerboard",
-                "checkerboard",
-            ),
-            ParamSpec::new(
-                "defects",
-                "stuck cells: `row,col=P;row,col=AP` (empty: none)",
-                "",
-            ),
-            ParamSpec::new("shard_rows", "rows per shard (the memory bound)", 64.0),
-            ParamSpec::new(
-                "shard",
-                "shard index to evaluate; `mramsim campaign` sweeps it",
-                0.0,
-            ),
-            ParamSpec::new("max_radius", "stray-field kernel ring cap", 4.0),
-            ParamSpec::new(
-                "field_tol",
-                "requested dipole-tail truncation accuracy (Oe)",
-                25.0,
-            ),
-            ParamSpec::new("voltage_v", "write pulse amplitude (V)", 0.9),
-            ParamSpec::new("pulse_ns", "write pulse width (ns)", 8.0),
-            ParamSpec::new("temperature_k", "temperature (K)", 300.0),
-            ParamSpec::new("trajectories", "Monte-Carlo replicas per class", 64.0),
-            ParamSpec::new("seed", "campaign base seed", 7.0),
-            ParamSpec::new("dt_ps", "integrator time step (ps)", 2.0),
-            ParamSpec::new(
-                "thermal",
-                "1: thermal fluctuation field active during the pulse",
-                1.0,
-            ),
-            ParamSpec::new("wer_budget", "per-cell WER fault threshold", 0.01),
-        ];
-        specs.extend(field_model_specs());
-        specs
+        campaign_specs(
+            [
+                ParamSpec::new("rows", "full grid rows", 256.0),
+                ParamSpec::new("cols", "full grid columns", 256.0),
+            ],
+            [
+                ParamSpec::new(
+                    "defects",
+                    "stuck cells: `row,col=P;row,col=AP` (empty: none)",
+                    "",
+                ),
+                ParamSpec::new("shard_rows", "rows per shard (the memory bound)", 64.0),
+                ParamSpec::new(
+                    "shard",
+                    "shard index to evaluate; `mramsim campaign` sweeps it",
+                    0.0,
+                ),
+                ParamSpec::new("max_radius", "stray-field kernel ring cap", 4.0),
+                ParamSpec::new(
+                    "field_tol",
+                    "requested dipole-tail truncation accuracy (Oe)",
+                    25.0,
+                ),
+            ],
+            "Monte-Carlo replicas per class",
+        )
     }
 
     fn run(&self, params: &ParamSet) -> Result<ScenarioOutput, EngineError> {
-        let (segments, exact) = field_model_of(params)?;
-        let device =
-            presets::imec_like_with(Nanometer::new(params.number("ecd")?), segments, exact)
-                .map_err(|e| model_err("array-wer-shard", e))?;
-        let pitch = Nanometer::new(params.number("pitch")?);
+        let (device, pitch, base) = campaign_of("array-wer-shard", params)?;
         let rows = params.count("rows")?;
         let cols = params.count("cols")?;
         let defects = Defect::parse_list(params.text("defects")?)
@@ -1315,16 +1334,7 @@ impl Scenario for ArrayWerShardScenario {
             .map_err(|e| model_err("array-wer-shard", e))?;
         let shard = params.count("shard")?;
         let config = SparseWerConfig {
-            base: ArrayWerConfig {
-                voltage: Volt::new(params.number("voltage_v")?),
-                pulse: Nanosecond::new(params.number("pulse_ns")?),
-                temperature: Kelvin::new(params.number("temperature_k")?),
-                trajectories: params.count("trajectories")?,
-                seed: seed_of(params, "seed")?,
-                dt: params.number("dt_ps")? * 1e-12,
-                thermal: params.count("thermal")? != 0,
-                wer_budget: params.number("wer_budget")?,
-            },
+            base,
             max_radius: params.count("max_radius")?,
             field_tol: Oersted::new(params.number("field_tol")?),
         };
@@ -1332,11 +1342,7 @@ impl Scenario for ArrayWerShardScenario {
         let report = shard_wer_campaign(&device, pitch, &grid, &plan, shard, &config, &pool)
             .map_err(|e| model_err("array-wer-shard", e))?;
 
-        let worst_analytic = report
-            .classes
-            .iter()
-            .map(|c| c.analytic)
-            .fold(0.0, f64::max);
+        let worst_analytic = report.worst_analytic();
         let mut summary = Table::new("array-wer-shard: shard summary", &["quantity", "value"]);
         summary.push_row(&["grid", &format!("{rows}x{cols}")]);
         summary.push_row(&[
@@ -1378,39 +1384,21 @@ impl Scenario for ArrayWerShardScenario {
         let mut classes = Table::new(
             "array-wer-shard: window classes",
             &[
-                "window_key",
-                "rep_row",
-                "rep_col",
-                "count",
-                "stored",
-                "direction",
-                "np",
-                "hz_oe",
-                "drive_ua",
-                "ic_ua",
-                "failures",
-                "wer_mc",
-                "wer_analytic",
-                "faulty",
-            ],
+                &["window_key", "rep_row", "rep_col", "count"][..],
+                &WRITE_COLUMNS,
+            ]
+            .concat(),
         );
         for class in &report.classes {
-            classes.push_row(&[
-                format!("{:016x}", class.window_key),
-                class.representative.0.to_string(),
-                class.representative.1.to_string(),
-                class.count.to_string(),
-                class.stored.to_string(),
-                class.direction.to_string(),
-                class.np.bits().to_string(),
-                format!("{:.2}", class.hz_stray.value()),
-                format!("{:.2}", class.drive_ua),
-                format!("{:.2}", class.ic_ua),
-                class.mc.failures.to_string(),
-                format!("{:.6}", class.mc.wer),
-                format!("{:.6}", class.analytic),
-                u8::from(class.faulty).to_string(),
-            ]);
+            classes.push_row(&write_row(
+                [
+                    format!("{:016x}", class.window_key),
+                    class.representative.0.to_string(),
+                    class.representative.1.to_string(),
+                    class.count.to_string(),
+                ],
+                &class.write,
+            ));
         }
 
         Ok(ScenarioOutput::from_table(summary)

@@ -271,6 +271,37 @@ fn submissions_are_validated_and_admission_is_bounded() {
 }
 
 #[test]
+fn an_oversized_monte_carlo_request_fails_without_killing_the_server() {
+    // 1e12 trajectories once aborted the whole process on allocation;
+    // the ensemble cap must turn it into a failed job (or a 4xx) and
+    // leave the server answering.
+    let engine = Arc::new(Engine::standard().with_workers(1));
+    let (addr, server) = spawn_server(engine, None, 1);
+    let (status, response) = post(
+        addr,
+        "/runs",
+        r#"{"scenario":"wer-mc","params":{"trajectories":1e12}}"#,
+    );
+    if status == 202 {
+        let (status, streamed) = get(addr, &field(&response, "progress"));
+        assert_eq!(status, 200);
+        let summary = streamed.lines().last().expect("a summary line");
+        assert!(
+            field(summary, "status") == "failed" || field(summary, "errors") == "1",
+            "{streamed}"
+        );
+        assert!(streamed.contains("MAX_TRAJECTORIES"), "{streamed}");
+    } else {
+        assert!((400..500).contains(&status), "{status} {response}");
+    }
+    let (status, body) = get(addr, "/healthz");
+    assert_eq!(status, 200, "{body}");
+    let (status, _body) = post(addr, "/shutdown", "");
+    assert_eq!(status, 200);
+    server.join().expect("server thread");
+}
+
+#[test]
 fn graceful_drain_leaves_a_resumable_journal() {
     let dir = TempDir::new("drain");
     let engine = Arc::new(

@@ -12,9 +12,12 @@
 //!   pattern-dependent switching time exceeds the pulse, Fig. 5 logic),
 //! * [`classify_write_faults`] — per-transition classification of which
 //!   neighbourhood patterns break a write at a given design point,
-//! * [`mc`] — the Monte-Carlo write campaign: per-cell s-LLGS WER
-//!   ensembles under the pattern's stray fields, aggregated into fault
-//!   maps and per-class reports alongside the analytic path,
+//! * [`mc`] — the Monte-Carlo write evaluator: one s-LLGS WER ensemble
+//!   per write site under its stray field, next to the analytic WER,
+//!   and the dense per-cell campaign aggregating it into fault maps and
+//!   per-class reports,
+//! * [`sharded`] — the sparse megabit campaign: the same evaluator over
+//!   one site per window equivalence class of a row band,
 //! * [`march`] — a March test engine (MATS+, March C−) that detects the
 //!   resulting pattern-sensitive faults.
 //!
@@ -54,7 +57,10 @@ mod simulator;
 
 pub use classify::{classify_write_faults, WriteFault, WriteFaultReport};
 pub use error::FaultsError;
-pub use mc::{array_wer_campaign, ArrayWerConfig, ArrayWerReport, CellWer, ClassWer};
+pub use mc::{
+    array_wer_campaign, ArrayWerConfig, ArrayWerReport, CellWer, ClassWer, WerTotals, WriteWer,
+    MAX_CAMPAIGN_TRAJECTORIES,
+};
 pub use mramsim_array::CellArray;
 pub use sharded::{
     class_seed, shard_wer_campaign, ShardPlan, ShardWerReport, SparseClassWer, SparseWerConfig,

@@ -1,25 +1,37 @@
-//! Monte-Carlo write campaigns: the time-domain counterpart of
-//! [`crate::classify_write_faults`].
+//! Monte-Carlo write campaigns: the write evaluator both campaigns
+//! share, and the dense per-cell campaign.
 //!
-//! The analytic classifier asks "does Sun's switching time fit the
-//! pulse?" per neighbourhood class. This module instead *simulates* the
-//! write of every cell of an N×M array under its actual pattern-derived
-//! stray field: per-cell s-LLGS trajectory ensembles
-//! ([`mramsim_dynamics::wer_campaign`]) estimate each cell's write
-//! error rate, which aggregates into a fault map and per-class report —
-//! the paper's §IV–§V coupling × density × pattern → fault-rate
-//! scenario at array scale, with both models side by side.
+//! The analytic classifier ([`crate::classify_write_faults`]) asks
+//! "does Sun's switching time fit the pulse?" per neighbourhood class;
+//! a campaign *simulates* the write instead. A write site is a stored
+//! state, its ring-1 neighbourhood, its total stray field and its
+//! ensemble seed. The evaluator gives each site one s-LLGS WER ensemble
+//! ([`mramsim_dynamics::wer_campaign_seeded`]), the analytic WER at the
+//! same operating point, and a budget verdict ([`WriteWer`]). The
+//! campaigns differ only in their sites:
+//!
+//! * [`array_wer_campaign`]: one per cell of a [`CellArray`], field
+//!   from [`cell_field_map`], seed [`cell_seed`]`(seed, index)`;
+//! * [`crate::shard_wer_campaign`]: one per window class of a row band,
+//!   field from the hierarchical kernel, seed [`crate::class_seed`].
 
 use crate::{FaultsError, WriteFault};
 use mramsim_array::{
     array_density_bits_per_um2, cell_field_map, CellArray, NeighborhoodPattern, PatternClass,
 };
-use mramsim_dynamics::{wer_campaign, CellDrive, EnsemblePlan, MacrospinParams, WerEstimate};
+use mramsim_dynamics::{
+    cell_seed, wer_campaign_seeded, CellDrive, EnsemblePlan, MacrospinParams, WerEstimate,
+};
 use mramsim_mtj::wer::write_error_rate_saturating;
 use mramsim_mtj::{MtjDevice, MtjState, SwitchDirection};
 use mramsim_numerics::pool::WorkerPool;
 use mramsim_units::{Kelvin, Nanometer, Nanosecond, Oersted, Volt};
 use std::collections::BTreeMap;
+
+/// Most simulated trajectories (`sites × trajectories`) one campaign
+/// evaluation admits (2²⁶). The ensemble work list is allocated up
+/// front, so the product is bounded before it.
+pub const MAX_CAMPAIGN_TRAJECTORIES: usize = 1 << 26;
 
 /// Write conditions and Monte-Carlo budget of one campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,25 +70,23 @@ impl Default for ArrayWerConfig {
     }
 }
 
-/// The Monte-Carlo write result of one cell.
+/// The Monte-Carlo write result of one site: one cell of a dense
+/// campaign, or one window class standing for many cells of a sparse
+/// one.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CellWer {
-    /// Cell row.
-    pub row: usize,
-    /// Cell column.
-    pub col: usize,
-    /// The state stored in the pattern (the write targets its
-    /// complement — the hardest realistic operation per cell).
+pub struct WriteWer {
+    /// The stored state (the write targets its complement — the
+    /// hardest realistic operation per cell).
     pub stored: MtjState,
     /// The simulated transition.
     pub direction: SwitchDirection,
-    /// The cell's neighbourhood pattern under the campaign data.
+    /// The ring-1 neighbourhood pattern under the campaign data.
     pub np: NeighborhoodPattern,
-    /// Total stray field at the cell's FL (intra + inter).
+    /// Total stray field at the FL (intra + inter).
     pub hz_stray: Oersted,
     /// Drive current through the cell \[µA\].
     pub drive_ua: f64,
-    /// The cell's pattern-shifted critical current \[µA\].
+    /// The field-shifted critical current \[µA\].
     pub ic_ua: f64,
     /// The Monte-Carlo estimate.
     pub mc: WerEstimate,
@@ -85,6 +95,53 @@ pub struct CellWer {
     pub analytic: f64,
     /// Whether the Monte-Carlo WER exceeds the configured budget.
     pub faulty: bool,
+}
+
+/// The Monte-Carlo write result of one cell of a dense campaign.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellWer {
+    /// Cell row.
+    pub row: usize,
+    /// Cell column.
+    pub col: usize,
+    /// The cell's write result.
+    pub write: WriteWer,
+}
+
+/// Count-weighted aggregates over a campaign report's rows, shared by
+/// the dense report (every cell a row of count 1) and the sparse one.
+pub trait WerTotals {
+    /// Every evaluated write with the number of cells it stands for.
+    fn weighted(&self) -> impl Iterator<Item = (&WriteWer, usize)>;
+
+    /// Cells covered.
+    fn cells(&self) -> usize {
+        self.weighted().map(|(_, n)| n).sum()
+    }
+
+    /// Cells over the WER budget.
+    fn faulty_cells(&self) -> usize {
+        self.weighted()
+            .filter(|(w, _)| w.faulty)
+            .map(|(_, n)| n)
+            .sum()
+    }
+
+    /// The worst Monte-Carlo WER of any row.
+    fn worst_wer(&self) -> f64 {
+        self.weighted().map(|(w, _)| w.mc.wer).fold(0.0, f64::max)
+    }
+
+    /// The worst analytic WER of any row.
+    fn worst_analytic(&self) -> f64 {
+        self.weighted().map(|(w, _)| w.analytic).fold(0.0, f64::max)
+    }
+
+    /// The count-weighted mean per-cell Monte-Carlo WER.
+    fn mean_wer(&self) -> f64 {
+        let sum: f64 = self.weighted().map(|(w, n)| w.mc.wer * n as f64).sum();
+        sum / self.cells().max(1) as f64
+    }
 }
 
 /// Per-class aggregation of a campaign: the Monte-Carlo counterpart of
@@ -136,26 +193,13 @@ pub struct ArrayWerReport {
     pub classes: Vec<ClassWer>,
 }
 
+impl WerTotals for ArrayWerReport {
+    fn weighted(&self) -> impl Iterator<Item = (&WriteWer, usize)> {
+        self.cells.iter().map(|c| (&c.write, 1))
+    }
+}
+
 impl ArrayWerReport {
-    /// Number of cells over the WER budget.
-    #[must_use]
-    pub fn faulty_cells(&self) -> usize {
-        self.cells.iter().filter(|c| c.faulty).count()
-    }
-
-    /// The worst per-cell Monte-Carlo WER.
-    #[must_use]
-    pub fn worst_wer(&self) -> f64 {
-        self.cells.iter().map(|c| c.mc.wer).fold(0.0, f64::max)
-    }
-
-    /// The mean per-cell Monte-Carlo WER.
-    #[must_use]
-    pub fn mean_wer(&self) -> f64 {
-        let n = self.cells.len().max(1) as f64;
-        self.cells.iter().map(|c| c.mc.wer).sum::<f64>() / n
-    }
-
     /// The classes that broke the budget, as analytic-style fault
     /// records (feeds the same reporting as
     /// [`crate::classify_write_faults`]).
@@ -174,7 +218,7 @@ impl ArrayWerReport {
         let mut out = String::with_capacity((self.cols + 1) * self.rows);
         for row in self.cells.chunks(self.cols) {
             for cell in row {
-                out.push(if cell.faulty { '#' } else { '.' });
+                out.push(if cell.write.faulty { '#' } else { '.' });
             }
             out.push('\n');
         }
@@ -185,16 +229,32 @@ impl ArrayWerReport {
 /// The transition a campaign write performs on a cell storing `stored`:
 /// always to the complement — the single place the stored-state →
 /// direction mapping lives.
-pub(crate) fn write_direction(stored: MtjState) -> SwitchDirection {
+fn write_direction(stored: MtjState) -> SwitchDirection {
     match stored {
         MtjState::AntiParallel => SwitchDirection::ApToP,
         MtjState::Parallel => SwitchDirection::PToAp,
     }
 }
 
-/// The write-condition checks shared by the dense and sparse campaign
-/// entry points.
-pub(crate) fn validate_config(config: &ArrayWerConfig) -> Result<(), FaultsError> {
+/// One write a campaign evaluates: the stored state (the write
+/// targets its complement), its ring-1 neighbourhood, the total stray
+/// field at its FL, and its ensemble seed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WriteSite {
+    pub(crate) stored: MtjState,
+    pub(crate) np: NeighborhoodPattern,
+    pub(crate) hz_stray: Oersted,
+    pub(crate) seed: u64,
+}
+
+/// Checks a campaign of `sites` writes under `config` — write
+/// conditions, budget, ensemble plan, step count, and total trajectory
+/// count — and returns its ensemble plan. Campaigns call it before any
+/// kernel build or allocation.
+pub(crate) fn validate_campaign(
+    config: &ArrayWerConfig,
+    sites: usize,
+) -> Result<EnsemblePlan, FaultsError> {
     if !(config.pulse.value() > 0.0) || !config.pulse.value().is_finite() {
         return Err(FaultsError::InvalidParameter {
             name: "pulse",
@@ -213,27 +273,98 @@ pub(crate) fn validate_config(config: &ArrayWerConfig) -> Result<(), FaultsError
             message: format!("must be in (0, 1], got {}", config.wer_budget),
         });
     }
-    Ok(())
+    let plan = EnsemblePlan::new(config.trajectories, config.seed, config.dt)?
+        .with_thermal(config.thermal);
+    plan.checked_steps(config.pulse.to_second().value())?;
+    if sites
+        .checked_mul(config.trajectories)
+        .is_none_or(|total| total > MAX_CAMPAIGN_TRAJECTORIES)
+    {
+        return Err(FaultsError::InvalidParameter {
+            name: "trajectories",
+            message: format!(
+                "{sites} sites x {} trajectories exceed the limit \
+                 MAX_CAMPAIGN_TRAJECTORIES = {MAX_CAMPAIGN_TRAJECTORIES} (2^26)",
+                config.trajectories
+            ),
+        });
+    }
+    Ok(plan)
 }
 
-/// One calibrated base operating point and drive per transition; cells
-/// differ only by the applied stray field.
-pub(crate) fn direction_point(
+/// The write evaluator both campaigns share. Per site, in order: one
+/// s-LLGS ensemble on the site's own seed from the calibrated operating
+/// point of its transition, shifted by its stray field; the analytic
+/// WER at the same point; and the budget verdict. Each write is judged
+/// against the static background pattern, like the analytic classifier.
+pub(crate) fn evaluate_writes(
     device: &MtjDevice,
-    direction: SwitchDirection,
     config: &ArrayWerConfig,
-) -> Result<(MacrospinParams, f64), FaultsError> {
-    let base = MacrospinParams::from_device(device, direction, config.temperature)?;
-    let drive = device
-        .electrical()
-        .current(direction.initial_state(), config.voltage, device.area())
-        .value();
-    Ok((base, drive))
+    sites: &[WriteSite],
+    pool: &WorkerPool,
+) -> Result<Vec<WriteWer>, FaultsError> {
+    let plan = validate_campaign(config, sites.len())?;
+    let point = |direction: SwitchDirection| -> Result<CellDrive, FaultsError> {
+        Ok(CellDrive {
+            params: MacrospinParams::from_device(device, direction, config.temperature)?,
+            current: device
+                .electrical()
+                .current(direction.initial_state(), config.voltage, device.area())
+                .value(),
+        })
+    };
+    let (ap2p, p2ap) = (
+        point(SwitchDirection::ApToP)?,
+        point(SwitchDirection::PToAp)?,
+    );
+    let drives: Vec<CellDrive> = sites
+        .iter()
+        .map(|site| {
+            let base = match write_direction(site.stored) {
+                SwitchDirection::ApToP => &ap2p,
+                SwitchDirection::PToAp => &p2ap,
+            };
+            CellDrive {
+                params: base.params.clone().with_applied_hz(site.hz_stray),
+                current: base.current,
+            }
+        })
+        .collect();
+    let seeds: Vec<u64> = sites.iter().map(|site| site.seed).collect();
+    let pulse = config.pulse.to_second().value();
+    let estimates = wer_campaign_seeded(&drives, &seeds, pulse, &plan, pool);
+    sites
+        .iter()
+        .zip(&drives)
+        .zip(estimates)
+        .map(|((site, drive), mc)| {
+            let direction = write_direction(site.stored);
+            Ok(WriteWer {
+                stored: site.stored,
+                direction,
+                np: site.np,
+                hz_stray: site.hz_stray,
+                drive_ua: 1e6 * drive.current,
+                ic_ua: 1e6 * drive.params.critical_current(),
+                mc,
+                analytic: write_error_rate_saturating(
+                    device,
+                    direction,
+                    config.voltage,
+                    site.hz_stray,
+                    config.temperature,
+                    config.pulse,
+                )?,
+                faulty: mc.wer > config.wer_budget,
+            })
+        })
+        .collect()
 }
 
 /// Runs one Monte-Carlo write campaign: every cell of `data` is written
 /// to the complement of its stored state under the stray field of its
-/// actual neighbourhood, via a per-cell s-LLGS WER ensemble.
+/// actual neighbourhood, one s-LLGS WER ensemble per cell on
+/// [`cell_seed`]`(config.seed, index)`.
 ///
 /// Each write is evaluated against the static background pattern (like
 /// the analytic classifier) — writes do not mutate `data`.
@@ -241,14 +372,16 @@ pub(crate) fn direction_point(
 /// # Errors
 ///
 /// * [`FaultsError::InvalidParameter`] for a non-positive pulse or
-///   voltage, or a WER budget outside `(0, 1]`.
+///   voltage, a WER budget outside `(0, 1]`, more than
+///   [`MAX_CAMPAIGN_TRAJECTORIES`] cells × trajectories, or a pulse of
+///   more than [`mramsim_dynamics::MAX_STEPS`] steps.
 /// * Propagated device / array / dynamics failures (a sub-critical
 ///   drive is a *finding* — WER saturates at 1 — not an error).
 ///
 /// # Examples
 ///
 /// ```
-/// use mramsim_faults::{array_wer_campaign, ArrayWerConfig, CellArray};
+/// use mramsim_faults::{array_wer_campaign, ArrayWerConfig, CellArray, WerTotals};
 /// use mramsim_mtj::presets;
 /// use mramsim_numerics::pool::WorkerPool;
 /// use mramsim_units::{Nanometer, Nanosecond, Volt};
@@ -275,73 +408,46 @@ pub fn array_wer_campaign(
     config: &ArrayWerConfig,
     pool: &WorkerPool,
 ) -> Result<ArrayWerReport, FaultsError> {
-    validate_config(config)?;
-
-    let (base_ap2p, drive_ap2p) = direction_point(device, SwitchDirection::ApToP, config)?;
-    let (base_p2ap, drive_p2ap) = direction_point(device, SwitchDirection::PToAp, config)?;
+    validate_campaign(config, data.len())?;
 
     // The kernel-to-cell adapter: one stray field per cell, all served
     // from the shared kernel cache.
     let fields = cell_field_map(device, pitch, data)?;
-    let drives: Vec<CellDrive> = fields
+    let sites: Vec<WriteSite> = fields
         .iter()
-        .map(|f| {
-            let (base, drive) = match write_direction(f.state) {
-                SwitchDirection::ApToP => (&base_ap2p, drive_ap2p),
-                SwitchDirection::PToAp => (&base_p2ap, drive_p2ap),
-            };
-            CellDrive {
-                params: base.clone().with_applied_hz(f.hz_oe()),
-                current: drive,
-            }
+        .zip(0u64..)
+        .map(|(field, index)| WriteSite {
+            stored: field.state,
+            np: field.np,
+            hz_stray: field.hz_oe(),
+            seed: cell_seed(config.seed, index),
+        })
+        .collect();
+    let cells: Vec<CellWer> = fields
+        .iter()
+        .zip(evaluate_writes(device, config, &sites, pool)?)
+        .map(|(field, write)| CellWer {
+            row: field.row,
+            col: field.col,
+            write,
         })
         .collect();
 
-    let plan = EnsemblePlan::new(config.trajectories, config.seed, config.dt)?
-        .with_thermal(config.thermal);
-    let estimates = wer_campaign(&drives, config.pulse.to_second().value(), &plan, pool);
-
-    let mut cells = Vec::with_capacity(fields.len());
-    for ((field, drive), mc) in fields.iter().zip(&drives).zip(estimates) {
-        let direction = write_direction(field.state);
-        let analytic = write_error_rate_saturating(
-            device,
-            direction,
-            config.voltage,
-            field.hz_oe(),
-            config.temperature,
-            config.pulse,
-        )?;
-        cells.push(CellWer {
-            row: field.row,
-            col: field.col,
-            stored: field.state,
-            direction,
-            np: field.np,
-            hz_stray: field.hz_oe(),
-            drive_ua: 1e6 * drive.current,
-            ic_ua: 1e6 * drive.params.critical_current(),
-            mc,
-            analytic,
-            faulty: mc.wer > config.wer_budget,
-        });
-    }
-
     let mut by_class: BTreeMap<(u8, PatternClass), ClassWer> = BTreeMap::new();
-    for cell in &cells {
-        let dir_key = u8::from(cell.direction == SwitchDirection::PToAp);
+    for CellWer { write, .. } in &cells {
+        let dir_key = u8::from(write.direction == SwitchDirection::PToAp);
         let entry = by_class
-            .entry((dir_key, cell.np.class()))
+            .entry((dir_key, write.np.class()))
             .or_insert(ClassWer {
-                direction: cell.direction,
-                class: cell.np.class(),
+                direction: write.direction,
+                class: write.np.class(),
                 cells: 0,
                 worst_wer: 0.0,
                 faulty: false,
             });
         entry.cells += 1;
-        entry.worst_wer = entry.worst_wer.max(cell.mc.wer);
-        entry.faulty |= cell.faulty;
+        entry.worst_wer = entry.worst_wer.max(write.mc.wer);
+        entry.faulty |= write.faulty;
     }
 
     Ok(ArrayWerReport {
@@ -414,10 +520,13 @@ mod tests {
         for cell in broken
             .cells
             .iter()
-            .filter(|c| c.direction == SwitchDirection::ApToP)
+            .filter(|c| c.write.direction == SwitchDirection::ApToP)
         {
-            assert_eq!(cell.analytic, 1.0, "sub-critical analytic WER saturates");
-            assert_eq!(cell.mc.wer, 1.0, "sub-critical MC WER saturates");
+            assert_eq!(
+                cell.write.analytic, 1.0,
+                "sub-critical analytic WER saturates"
+            );
+            assert_eq!(cell.write.mc.wer, 1.0, "sub-critical MC WER saturates");
         }
     }
 
@@ -432,8 +541,7 @@ mod tests {
         assert!(dense.density_bits_per_um2 > sparse.density_bits_per_um2);
         // The paper's density claim, time-domain edition: tighter pitch
         // must not improve the analytic worst case.
-        let worst = |r: &ArrayWerReport| r.cells.iter().map(|c| c.analytic).fold(0.0, f64::max);
-        assert!(worst(&dense) >= worst(&sparse));
+        assert!(dense.worst_analytic() >= sparse.worst_analytic());
     }
 
     #[test]
@@ -449,7 +557,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!((report.rows, report.cols, report.cells.len()), (1, 1, 1));
-        assert_eq!(report.cells[0].direction, SwitchDirection::PToAp);
+        assert_eq!(report.cells[0].write.direction, SwitchDirection::PToAp);
         assert_eq!(report.classes.len(), 1);
         assert_eq!(report.classes[0].cells, 1);
         assert_eq!(report.fault_map().lines().count(), 1);
@@ -476,6 +584,49 @@ mod tests {
         // Zero trajectories surfaces the EnsemblePlan error, not a panic.
         let no_mc = config(1.0, 10.0, 0);
         assert!(array_wer_campaign(&dev, Nanometer::new(70.0), &data, &no_mc, &pool).is_err());
+    }
+
+    #[test]
+    fn campaign_limits_sit_exactly_at_their_caps() {
+        let cfg = config(1.0, 10.0, 1024);
+        let at_cap = MAX_CAMPAIGN_TRAJECTORIES / 1024;
+        assert!(validate_campaign(&cfg, at_cap).is_ok());
+        let err = validate_campaign(&cfg, at_cap + 1).unwrap_err();
+        assert!(
+            err.to_string().contains("MAX_CAMPAIGN_TRAJECTORIES"),
+            "{err}"
+        );
+        assert!(validate_campaign(&cfg, usize::MAX).is_err(), "overflow");
+        // A 10 ns pulse at exactly MAX_STEPS steps passes; one step more
+        // fails.
+        let steps = mramsim_dynamics::MAX_STEPS as f64;
+        let at_step_cap = ArrayWerConfig {
+            dt: 10e-9 / steps,
+            ..config(1.0, 10.0, 8)
+        };
+        assert!(validate_campaign(&at_step_cap, 1).is_ok());
+        let past_step_cap = ArrayWerConfig {
+            dt: 10e-9 / (steps + 1.0),
+            ..config(1.0, 10.0, 8)
+        };
+        let err = validate_campaign(&past_step_cap, 1).unwrap_err();
+        assert!(err.to_string().contains("MAX_STEPS"), "{err}");
+        // 9 cells × 2²³ trajectories: each plan is valid, the campaign
+        // is not, and it fails before any field or ensemble work.
+        let data = CellArray::checkerboard(3, 3).unwrap();
+        let too_many = config(1.0, 10.0, 1 << 23);
+        let err = array_wer_campaign(
+            &device(),
+            Nanometer::new(70.0),
+            &data,
+            &too_many,
+            &WorkerPool::new(1),
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("MAX_CAMPAIGN_TRAJECTORIES"),
+            "{err}"
+        );
     }
 
     #[test]

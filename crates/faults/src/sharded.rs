@@ -1,37 +1,35 @@
 //! Sparse, sharded megabit write campaigns.
 //!
-//! The dense [`crate::array_wer_campaign`] materialises one
-//! [`CellDrive`] and one Monte-Carlo ensemble *per cell* — fine at 64
-//! cells, hopeless at a megabit. This module exploits two structural
-//! facts of large patterned arrays:
+//! The dense [`crate::array_wer_campaign`] evaluates one write site
+//! *per cell* — fine at 64 cells, hopeless at a megabit. This module
+//! feeds the same write evaluator ([`crate::mc`]) far fewer sites by
+//! exploiting two structural facts of large patterned arrays:
 //!
 //! 1. **Equivalence classes.** A cell's WER is a pure function of its
 //!    stored-state window (stray field) and its ensemble seed. Seeding
 //!    each class from its *window content* ([`class_seed`]) makes the
 //!    estimate a pure function of the environment too, so the million
 //!    interior cells of a checkerboard collapse into a handful of
-//!    ensembles — `O(radius² + defects)` work, with defect sites and
-//!    edge bands explicit.
+//!    sites — `O(radius² + defects)` work, with defect sites and edge
+//!    bands explicit.
 //! 2. **Row sharding.** [`ShardPlan`] slices the grid into fixed-height
 //!    row bands evaluated independently; a shard's peak memory is its
 //!    class list, never the grid. Shards are embarrassingly parallel
 //!    and — because class results are position-independent — their
-//!    reports are bit-identical however the grid is partitioned
-//!    (property-tested in `tests/`).
+//!    reports are bit-identical however the grid is partitioned. The
+//!    property tests in `tests/props.rs` check this over random shard
+//!    heights and defect sets, and check that the classes agree with
+//!    the dense per-cell campaign.
 //!
 //! The stray field comes from the ring-truncated
 //! [`HierarchicalKernel`], grown to the caller's `field_tol` accuracy
 //! (up to `max_radius`); the report carries the radius actually used
 //! and the a-priori tail bound so truncation is never silent.
 
-use crate::mc::{direction_point, validate_config, write_direction};
-use crate::{ArrayWerConfig, FaultsError};
-use mramsim_array::{
-    array_density_bits_per_um2, HierarchicalKernel, NeighborhoodPattern, PatternGrid,
-};
-use mramsim_dynamics::{wer_campaign_seeded, CellDrive, EnsemblePlan, WerEstimate};
-use mramsim_mtj::wer::write_error_rate_saturating;
-use mramsim_mtj::{MtjDevice, MtjState, SwitchDirection};
+use crate::mc::{evaluate_writes, validate_campaign, WriteSite};
+use crate::{ArrayWerConfig, FaultsError, WerTotals, WriteWer};
+use mramsim_array::{array_density_bits_per_um2, HierarchicalKernel, PatternGrid};
+use mramsim_mtj::MtjDevice;
 use mramsim_numerics::hash::{fnv1a, Fnv1a};
 use mramsim_numerics::pool::WorkerPool;
 use mramsim_telemetry as telemetry;
@@ -149,25 +147,9 @@ pub struct SparseClassWer {
     pub representative: (usize, usize),
     /// Cells sharing this window within the shard.
     pub count: usize,
-    /// The state stored in the class's cells.
-    pub stored: MtjState,
-    /// The simulated transition (complement write).
-    pub direction: SwitchDirection,
-    /// The ring-1 neighbourhood pattern of the window.
-    pub np: NeighborhoodPattern,
-    /// Total stray field at the FL (intra + inter to the kernel
-    /// radius).
-    pub hz_stray: Oersted,
-    /// Drive current through the cells \[µA\].
-    pub drive_ua: f64,
-    /// The class's field-shifted critical current \[µA\].
-    pub ic_ua: f64,
-    /// The Monte-Carlo estimate (shared by all `count` cells).
-    pub mc: WerEstimate,
-    /// The analytic (Butler, saturating) WER at the same point.
-    pub analytic: f64,
-    /// Whether the class breaks the WER budget.
-    pub faulty: bool,
+    /// The class's write result (shared by all `count` cells; the
+    /// field is summed to the kernel radius).
+    pub write: WriteWer,
 }
 
 /// The outcome of one shard of a sparse campaign.
@@ -200,38 +182,9 @@ pub struct ShardWerReport {
     pub classes: Vec<SparseClassWer>,
 }
 
-impl ShardWerReport {
-    /// Cells covered by the shard.
-    #[must_use]
-    pub fn cells(&self) -> usize {
-        self.classes.iter().map(|c| c.count).sum()
-    }
-
-    /// Cells over the WER budget.
-    #[must_use]
-    pub fn faulty_cells(&self) -> usize {
-        self.classes
-            .iter()
-            .filter(|c| c.faulty)
-            .map(|c| c.count)
-            .sum()
-    }
-
-    /// The worst class Monte-Carlo WER.
-    #[must_use]
-    pub fn worst_wer(&self) -> f64 {
-        self.classes.iter().map(|c| c.mc.wer).fold(0.0, f64::max)
-    }
-
-    /// The count-weighted mean per-cell Monte-Carlo WER.
-    #[must_use]
-    pub fn mean_wer(&self) -> f64 {
-        let cells = self.cells().max(1) as f64;
-        self.classes
-            .iter()
-            .map(|c| c.mc.wer * c.count as f64)
-            .sum::<f64>()
-            / cells
+impl WerTotals for ShardWerReport {
+    fn weighted(&self) -> impl Iterator<Item = (&WriteWer, usize)> {
+        self.classes.iter().map(|c| (&c.write, c.count))
     }
 }
 
@@ -242,15 +195,17 @@ impl ShardWerReport {
 ///
 /// # Errors
 ///
-/// * [`FaultsError::InvalidParameter`] for invalid write conditions,
-///   accuracy knobs, or a shard index / plan inconsistent with `grid`.
+/// * [`FaultsError::InvalidParameter`] for invalid write conditions
+///   (as [`crate::array_wer_campaign`], with classes in place of
+///   cells), accuracy knobs, or a shard index / plan inconsistent with
+///   `grid`.
 /// * Propagated device / array / dynamics failures.
 ///
 /// # Examples
 ///
 /// ```
 /// use mramsim_array::{DataPattern, PatternGrid};
-/// use mramsim_faults::{shard_wer_campaign, ShardPlan, SparseWerConfig};
+/// use mramsim_faults::{shard_wer_campaign, ShardPlan, SparseWerConfig, WerTotals};
 /// use mramsim_mtj::presets;
 /// use mramsim_numerics::pool::WorkerPool;
 /// use mramsim_units::Nanometer;
@@ -281,7 +236,9 @@ pub fn shard_wer_campaign(
     config: &SparseWerConfig,
     pool: &WorkerPool,
 ) -> Result<ShardWerReport, FaultsError> {
-    validate_config(&config.base)?;
+    // The class count is known only after extraction; the evaluator
+    // checks it then.
+    validate_campaign(&config.base, 0)?;
     if plan.rows() != grid.rows() {
         return Err(FaultsError::InvalidParameter {
             name: "shard_rows",
@@ -318,63 +275,28 @@ pub fn shard_wer_campaign(
     )?;
     let classes = grid.shard_classes(row_lo, row_hi, kernel.radius())?;
 
-    let (base_ap2p, drive_ap2p) = direction_point(device, SwitchDirection::ApToP, &config.base)?;
-    let (base_p2ap, drive_p2ap) = direction_point(device, SwitchDirection::PToAp, &config.base)?;
-
-    let mut drives = Vec::with_capacity(classes.len());
-    let mut seeds = Vec::with_capacity(classes.len());
-    let mut fields = Vec::with_capacity(classes.len());
-    for class in &classes {
-        let hz_apm = kernel.total_hz_window(&|di, dj| class.state_at(di, dj));
-        let hz = Oersted::new(hz_apm * OERSTED_PER_AMPERE_PER_METER);
-        let (base, drive) = match write_direction(class.stored()) {
-            SwitchDirection::ApToP => (&base_ap2p, drive_ap2p),
-            SwitchDirection::PToAp => (&base_p2ap, drive_p2ap),
-        };
-        drives.push(CellDrive {
-            params: base.clone().with_applied_hz(hz),
-            current: drive,
-        });
-        seeds.push(class_seed(config.base.seed, &class.window));
-        fields.push(hz);
-    }
-
-    let ensemble = EnsemblePlan::new(config.base.trajectories, config.base.seed, config.base.dt)?
-        .with_thermal(config.base.thermal);
-    let estimates = wer_campaign_seeded(
-        &drives,
-        &seeds,
-        config.base.pulse.to_second().value(),
-        &ensemble,
-        pool,
-    );
-
-    let mut rows_out = Vec::with_capacity(classes.len());
-    for (((class, drive), hz), mc) in classes.iter().zip(&drives).zip(&fields).zip(estimates) {
-        let direction = write_direction(class.stored());
-        let analytic = write_error_rate_saturating(
-            device,
-            direction,
-            config.base.voltage,
-            *hz,
-            config.base.temperature,
-            config.base.pulse,
-        )?;
-        rows_out.push(SparseClassWer {
+    let sites: Vec<WriteSite> = classes
+        .iter()
+        .map(|class| WriteSite {
+            stored: class.stored(),
+            np: class.np(),
+            hz_stray: Oersted::new(
+                kernel.total_hz_window(&|di, dj| class.state_at(di, dj))
+                    * OERSTED_PER_AMPERE_PER_METER,
+            ),
+            seed: class_seed(config.base.seed, &class.window),
+        })
+        .collect();
+    let rows_out = classes
+        .iter()
+        .zip(evaluate_writes(device, &config.base, &sites, pool)?)
+        .map(|(class, write)| SparseClassWer {
             window_key: fnv1a(&class.window),
             representative: class.representative,
             count: class.count,
-            stored: class.stored(),
-            direction,
-            np: class.np(),
-            hz_stray: *hz,
-            drive_ua: 1e6 * drive.current,
-            ic_ua: 1e6 * drive.params.critical_current(),
-            mc,
-            analytic,
-            faulty: mc.wer > config.base.wer_budget,
-        });
-    }
+            write,
+        })
+        .collect();
 
     let report = ShardWerReport {
         shard,
@@ -400,7 +322,7 @@ pub fn shard_wer_campaign(
         // window key so the same environment is comparable across
         // shards, grids, and runs.
         for class in &report.classes {
-            class.mc.emit_health(
+            class.write.mc.emit_health(
                 "class_wer",
                 &[
                     (
@@ -420,7 +342,7 @@ pub fn shard_wer_campaign(
 mod tests {
     use super::*;
     use mramsim_array::DataPattern;
-    use mramsim_mtj::presets;
+    use mramsim_mtj::{presets, MtjState, SwitchDirection};
     use mramsim_units::{Nanosecond, Volt};
 
     fn device() -> MtjDevice {
@@ -505,11 +427,11 @@ mod tests {
                     .find(|c| c.window_key == class.window_key)
                     .expect("every shard window exists in the whole-grid extraction");
                 assert_eq!(
-                    full.mc, class.mc,
+                    full.write.mc, class.write.mc,
                     "shard {shard} at {:?}",
                     class.representative
                 );
-                assert_eq!(full.hz_stray, class.hz_stray);
+                assert_eq!(full.write.hz_stray, class.write.hz_stray);
             }
         }
         let cells: usize = (0..2)
@@ -550,8 +472,8 @@ mod tests {
             .find(|c| c.representative == (16, 16))
             .expect("defect class present");
         assert_eq!(stuck.count, 1);
-        assert_eq!(stuck.stored, MtjState::AntiParallel);
-        assert_eq!(stuck.direction, SwitchDirection::ApToP);
+        assert_eq!(stuck.write.stored, MtjState::AntiParallel);
+        assert_eq!(stuck.write.direction, SwitchDirection::ApToP);
     }
 
     #[test]
