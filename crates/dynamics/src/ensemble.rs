@@ -35,6 +35,11 @@ pub const MAX_TRAJECTORIES: usize = 1 << 24;
 /// past this is a typo'd `dt` or span, not a simulation that finishes.
 pub const MAX_STEPS: usize = 1 << 22;
 
+/// Most histogram bins one switching-time distribution may ask for
+/// (2¹⁶). The counters are allocated up front, so an unbounded count
+/// aborts the process on allocation instead of failing the request.
+pub const MAX_BINS: usize = 1 << 16;
+
 /// The reproducible execution plan of one ensemble.
 ///
 /// Every field is part of the result's identity: the engine folds all

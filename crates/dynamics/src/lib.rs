@@ -59,7 +59,8 @@ mod mc;
 
 pub use campaign::{cell_seed, wer_campaign, wer_campaign_seeded, CellDrive};
 pub use ensemble::{
-    run_ensemble, run_replica, EnsemblePlan, ReplicaOutcome, LANES, MAX_STEPS, MAX_TRAJECTORIES,
+    run_ensemble, run_replica, EnsemblePlan, ReplicaOutcome, LANES, MAX_BINS, MAX_STEPS,
+    MAX_TRAJECTORIES,
 };
 pub use error::DynamicsError;
 pub use llgs::{heun_step, record_trajectory, MacrospinParams, GAMMA_0, GYROMAGNETIC_RATIO};

@@ -163,7 +163,8 @@ pub struct SwitchingTimes {
 /// # Errors
 ///
 /// [`DynamicsError::InvalidParameter`] for a non-positive `duration`,
-/// one past [`crate::MAX_STEPS`] steps, or zero `bins`.
+/// one past [`crate::MAX_STEPS`] steps, or `bins` outside
+/// `1..=`[`crate::MAX_BINS`].
 pub fn switching_time_distribution(
     params: &MacrospinParams,
     current: f64,
@@ -182,6 +183,15 @@ pub fn switching_time_distribution(
         return Err(DynamicsError::InvalidParameter {
             name: "bins",
             message: "histogram needs at least one bin".into(),
+        });
+    }
+    if bins > crate::MAX_BINS {
+        return Err(DynamicsError::InvalidParameter {
+            name: "bins",
+            message: format!(
+                "{bins} histogram bins is past the limit MAX_BINS = {} (2^16)",
+                crate::MAX_BINS
+            ),
         });
     }
     // The upper edge is the *actual* simulated end (step count × dt can
@@ -338,6 +348,18 @@ mod tests {
         assert!(
             switching_time_distribution(&p, 1e-4, 1e-9, &plan, 0, &WorkerPool::new(1)).is_err()
         );
+    }
+
+    #[test]
+    fn bin_count_sits_exactly_at_its_cap() {
+        let p = params();
+        let plan = EnsemblePlan::new(16, 1, 2e-12).unwrap().with_thermal(false);
+        let pool = WorkerPool::new(1);
+        let dist = switching_time_distribution(&p, 1e-4, 1e-10, &plan, crate::MAX_BINS, &pool);
+        assert_eq!(dist.unwrap().histogram.bins(), crate::MAX_BINS);
+        let err = switching_time_distribution(&p, 1e-4, 1e-10, &plan, crate::MAX_BINS + 1, &pool)
+            .unwrap_err();
+        assert!(err.to_string().contains("MAX_BINS"), "{err}");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 
 use mramsim_engine::store::DiskStore;
 use mramsim_engine::{
-    parse_value, Engine, EngineError, JobEvent, ParamSet, ParamValue, Registry, ServeConfig,
-    Server, SweepJournal, SweepOptions, SweepPlan,
+    parse_value, Engine, EngineError, JobEvent, ParamSet, ParamValue, Registry, RunSession,
+    ServeConfig, Server, SweepPlan,
 };
 use mramsim_telemetry as telemetry;
 use mramsim_telemetry::{report, Clock, Fanout, JsonlRecorder, MetricsRecorder, TelemetryLog};
@@ -314,23 +314,16 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
-/// The default disk-cache location for commands that did not pass
-/// `--cache-dir`. `MRAMSIM_CACHE_DIR=off` disables persistence
-/// globally — the only opt-out `report` has, since it takes no flags.
-fn default_cache_dir() -> Option<PathBuf> {
-    match std::env::var("MRAMSIM_CACHE_DIR") {
-        Ok(v) if v == "off" => None,
-        _ => Some(DiskStore::default_dir()),
-    }
-}
-
-/// The disk-cache directory to use: the `--cache-dir` value, `None`
-/// for `off`, or the default location.
-fn resolve_cache_dir(options: &Options) -> Option<PathBuf> {
-    match options.cache_dir.as_deref() {
+/// The disk-cache directory to use: the raw `--cache-dir` value, `None`
+/// for `off`, or the default location. Without the flag,
+/// `MRAMSIM_CACHE_DIR=off` disables persistence globally — the only
+/// opt-out `report` has, since it takes no flags.
+fn resolve_cache_dir(raw: Option<&str>) -> Option<PathBuf> {
+    match raw {
         Some("off") => None,
         Some(dir) => Some(PathBuf::from(dir)),
-        None => default_cache_dir(),
+        None if std::env::var("MRAMSIM_CACHE_DIR").is_ok_and(|v| v == "off") => None,
+        None => Some(DiskStore::default_dir()),
     }
 }
 
@@ -391,7 +384,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .scenario
         .clone()
         .ok_or("`run` needs a scenario id")?;
-    let cache_dir = resolve_cache_dir(&options);
+    let cache_dir = resolve_cache_dir(options.cache_dir.as_deref());
     let engine = build_engine(&options, cache_dir.as_deref())?;
     let mut overrides = ParamSet::new();
     for (name, value) in options.params {
@@ -502,12 +495,8 @@ fn resolve_run_log(run: &str, cache_dir: Option<&str>) -> Result<PathBuf, String
     if direct.is_file() {
         return Ok(direct);
     }
-    let dir = match cache_dir {
-        Some("off") => None,
-        Some(dir) => Some(PathBuf::from(dir)),
-        None => default_cache_dir(),
-    }
-    .ok_or("resolving a run id needs a cache directory (do not pass `--cache-dir off`)")?;
+    let dir = resolve_cache_dir(cache_dir)
+        .ok_or("resolving a run id needs a cache directory (do not pass `--cache-dir off`)")?;
     let path = JsonlRecorder::path_for(&dir, run);
     if path.is_file() {
         return Ok(path);
@@ -707,15 +696,10 @@ fn plan_with_params(mut plan: SweepPlan, params: Vec<(String, ParamValue)>) -> S
     plan
 }
 
-/// Validates a fresh plan against the scenario's declared parameters
-/// and opens its checkpoint journal. Shared by `sweep` and `campaign`.
-fn prepare_fresh_run(
-    options: &Options,
-    engine: &Engine,
-    cache_dir: Option<&Path>,
-    scenario: &str,
-    plan: &SweepPlan,
-) -> Result<Option<SweepJournal>, String> {
+/// The engine and cache directory of `sweep` and `campaign`.
+fn sweep_engine(options: &Options) -> Result<(Engine, Option<PathBuf>), String> {
+    let cache_dir = resolve_cache_dir(options.cache_dir.as_deref());
+    let engine = build_engine(options, cache_dir.as_deref())?;
     // `--limit` exists to slice a resumable campaign; without a
     // store the computed slice would die with the process and the
     // "resume to continue" advice would be unfollowable.
@@ -726,45 +710,13 @@ fn prepare_fresh_run(
                 .into(),
         );
     }
-    // Validate the plan before touching the journal, so a typo'd
-    // scenario or parameter does not leave resumable-looking
-    // debris under runs/.
-    let specs = engine
-        .registry()
-        .get(scenario)
-        .map_err(|e| e.to_string())?
-        .params();
-    for name in plan
-        .axes()
-        .iter()
-        .map(|(name, _)| name.as_str())
-        .chain(plan.fixed().iter().map(|(name, _)| name))
-    {
-        if !specs.iter().any(|s| s.name == name) {
-            return Err(format!("scenario `{scenario}` has no parameter `{name}`"));
-        }
-    }
-    // With the disk cache on, every sweep is checkpointed: the
-    // journal captures the plan and streams finished points. No
-    // store (disabled, or default dir unusable) ⇒ no journal —
-    // there would be nothing on disk to resume from anyway.
-    match (cache_dir, engine.store().is_some()) {
-        (Some(dir), true) => {
-            let path = SweepJournal::path_for(dir, &SweepJournal::run_id(plan));
-            Ok(Some(
-                SweepJournal::create(path, plan).map_err(|e| e.to_string())?,
-            ))
-        }
-        _ => Ok(None),
-    }
+    Ok((engine, cache_dir))
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let options = parse_options(args)?;
-    let cache_dir = resolve_cache_dir(&options);
-    let engine = build_engine(&options, cache_dir.as_deref())?;
-
-    let (plan, journal) = if let Some(run_id) = &options.resume {
+    let (engine, cache_dir) = sweep_engine(&options)?;
+    let run = if let Some(run_id) = &options.resume {
         if options.scenario.is_some() || !options.params.is_empty() {
             return Err(
                 "`--resume` reloads the journaled plan; do not pass a scenario or parameters"
@@ -780,14 +732,13 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             );
         }
         let dir = cache_dir.as_ref().expect("store implies a cache dir");
-        let (journal, state) =
-            SweepJournal::resume(SweepJournal::path_for(dir, run_id)).map_err(|e| e.to_string())?;
+        let run = RunSession::resume(dir, run_id).map_err(|e| e.to_string())?;
         eprintln!(
             "resuming `{run_id}`: {}/{} point(s) already journaled",
-            state.done.len(),
-            state.plan.len(),
+            run.journaled(),
+            run.plan().len(),
         );
-        (state.plan, Some(journal))
+        run
     } else {
         let scenario = options
             .scenario
@@ -799,10 +750,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                         (e.g. `--pitch 60..240:20`)"
                 .into());
         }
-        let journal = prepare_fresh_run(&options, &engine, cache_dir.as_deref(), &scenario, &plan)?;
-        (plan, journal)
+        RunSession::open(&engine, plan, cache_dir.as_deref()).map_err(|e| e.to_string())?
     };
-    execute_sweep(&options, &engine, cache_dir.as_deref(), plan, journal)
+    execute_sweep(&options, &engine, cache_dir.as_deref(), &run)
 }
 
 /// `mramsim campaign`: a sweep whose `--shard` axis is generated to
@@ -824,8 +774,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         .scenario
         .clone()
         .unwrap_or_else(|| "array-wer-shard".to_owned());
-    let cache_dir = resolve_cache_dir(&options);
-    let engine = build_engine(&options, cache_dir.as_deref())?;
+    let (engine, cache_dir) = sweep_engine(&options)?;
     let specs = engine
         .registry()
         .get(&scenario)
@@ -862,23 +811,22 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         "shard",
         (0..n_shards).map(|shard| shard as f64).collect::<Vec<_>>(),
     );
-    let journal = prepare_fresh_run(&options, &engine, cache_dir.as_deref(), &scenario, &plan)?;
+    let run = RunSession::open(&engine, plan, cache_dir.as_deref()).map_err(|e| e.to_string())?;
     eprintln!(
         "campaign `{scenario}`: {n_shards} shard(s) of {shard_rows} row(s) covering {rows} grid rows"
     );
-    execute_sweep(&options, &engine, cache_dir.as_deref(), plan, journal)
+    execute_sweep(&options, &engine, cache_dir.as_deref(), &run)
 }
 
-/// Runs a prepared plan: telemetry install, progress line, the sweep
+/// Runs an opened run: telemetry install, progress line, the sweep
 /// itself, output rendering, and the summary/journal/telemetry trailer.
 fn execute_sweep(
     options: &Options,
     engine: &Engine,
     cache_dir: Option<&Path>,
-    plan: SweepPlan,
-    journal: Option<SweepJournal>,
+    run: &RunSession,
 ) -> Result<(), String> {
-    let run_id = SweepJournal::run_id(&plan);
+    let run_id = run.id();
     // Telemetry: metrics aggregate in-process; events stream to the
     // run's JSONL log when a cache directory exists to hold it. All of
     // it is write-only with respect to results.
@@ -886,7 +834,7 @@ fn execute_sweep(
     let mut jsonl: Option<Arc<JsonlRecorder>> = None;
     let telemetry_guard = if options.telemetry {
         if let Some(dir) = &cache_dir {
-            match JsonlRecorder::create(JsonlRecorder::path_for(dir, &run_id), Clock::system()) {
+            match JsonlRecorder::create(JsonlRecorder::path_for(dir, run_id), Clock::system()) {
                 Ok(sink) => jsonl = Some(Arc::new(sink)),
                 Err(e) => eprintln!("warning: telemetry log disabled: {e}"),
             }
@@ -904,25 +852,14 @@ fn execute_sweep(
         "off" => false,
         _ => std::io::stderr().is_terminal(),
     };
-    let progress = Progress::new(plan.len(), engine.workers());
-
-    let record = |event: &JobEvent<'_>| {
-        if event.ok {
-            if let Some(journal) = &journal {
-                journal.record(event.index, event.key);
-            }
-        }
+    let progress = Progress::new(run.plan().len(), engine.workers());
+    let on_job = |event: &JobEvent<'_>| {
         if show_progress {
             progress.on_job(event);
         }
     };
-    let sweep_options = SweepOptions {
-        limit: options.limit,
-        on_done: Some(&record),
-        cancel: None,
-    };
-    let outcome = engine
-        .sweep_with(&plan, &sweep_options)
+    let outcome = run
+        .execute(engine, options.limit, None, &on_job)
         .map_err(|e| e.to_string())?;
     if show_progress {
         progress.clear();
@@ -994,10 +931,10 @@ fn execute_sweep(
         outcome.disk_hits,
         outcome.errors,
     );
-    if let Some(journal) = &journal {
+    if let Some(path) = run.journal_path() {
         eprintln!(
             "run `{run_id}` journaled at {} — continue with `mramsim sweep --resume {run_id}`",
-            journal.path().display()
+            path.display()
         );
     }
     if let Some(sink) = &jsonl {
@@ -1042,7 +979,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "`serve` takes no scenario or parameters; clients submit plans over HTTP".to_owned(),
         );
     }
-    let cache_dir = resolve_cache_dir(&options);
+    let cache_dir = resolve_cache_dir(options.cache_dir.as_deref());
     let engine = Arc::new(build_engine(&options, cache_dir.as_deref())?);
     let config = ServeConfig {
         addr,
@@ -1072,16 +1009,8 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     // Reports also read and feed the persistent cache (falling back
     // to memory-only, with a warning, when the default directory is
     // unusable — the same degradation run/sweep announce).
-    let engine = match default_cache_dir() {
-        Some(dir) => match Engine::standard().with_disk_cache(dir) {
-            Ok(engine) => engine,
-            Err(e) => {
-                eprintln!("warning: persistent cache disabled: {e}");
-                Engine::standard()
-            }
-        },
-        None => Engine::standard(),
-    };
+    let options = parse_options(&[])?;
+    let engine = build_engine(&options, resolve_cache_dir(None).as_deref())?;
     let ids: Vec<&str> = args.iter().map(String::as_str).collect();
     for id in &ids {
         engine.registry().get(id).map_err(|e| e.to_string())?;

@@ -368,25 +368,6 @@ impl Engine {
     /// Resolution errors plus whatever the scenario itself returns.
     pub fn run(&self, id: &str, overrides: &ParamSet) -> Result<RunOutcome, EngineError> {
         let params = self.resolve(id, overrides)?;
-        self.run_resolved(id, &params)
-    }
-
-    fn run_resolved(&self, id: &str, params: &ParamSet) -> Result<RunOutcome, EngineError> {
-        let outcome = self.run_budgeted(id, params, None)?;
-        Ok(outcome.expect("without a budget every job runs"))
-    }
-
-    /// [`Engine::run_resolved`] under an optional compute budget:
-    /// `Ok(None)` means both cache tiers declined *and* the budget was
-    /// already exhausted, so the job was not computed. The slot is
-    /// claimed at the actual compute step — a corrupt disk entry that
-    /// falls through to recompute still pays for its computation.
-    fn run_budgeted(
-        &self,
-        id: &str,
-        params: &ParamSet,
-        budget: Option<(&AtomicUsize, usize)>,
-    ) -> Result<Option<RunOutcome>, EngineError> {
         let key = ResultCache::key(id, &params.fingerprint());
         let start = self.clock.now_nanos();
         // No span around the memory probe: a hashmap get costs
@@ -396,20 +377,23 @@ impl Engine {
         if let Some(output) = self.cache.get(key) {
             let duration = self.clock.elapsed(start);
             telemetry::observe("engine.warm_lookup_s", duration.as_secs_f64());
-            return Ok(Some(RunOutcome {
+            return Ok(RunOutcome {
                 output,
                 cache_hit: true,
                 disk_hit: false,
                 duration,
-            }));
+            });
         }
-        self.run_cold(id, params, budget, key, start)
+        let outcome = self.run_cold(id, &params, None, key, start)?;
+        Ok(outcome.expect("without a budget every job runs"))
     }
 
-    /// The miss path of [`Engine::run_budgeted`]: disk tier, budget
-    /// claim, compute, and store-back. Split out so the sweep loop can
-    /// probe the memory tier itself (span-free) and hand off here
-    /// without a second, double-counted probe.
+    /// The miss path of [`Engine::run`] and the sweep loop: disk tier,
+    /// budget claim, compute, and store-back. `Ok(None)` means both
+    /// cache tiers declined *and* the budget was already exhausted, so
+    /// the job was not computed. The slot is claimed at the actual
+    /// compute step — a corrupt disk entry that falls through to
+    /// recompute still pays for its computation.
     fn run_cold(
         &self,
         id: &str,
@@ -486,6 +470,25 @@ impl Engine {
         Some(output)
     }
 
+    /// Checks that the scenario declares every axis and fixed name and
+    /// that the grid expands; returns the expanded grid.
+    ///
+    /// # Errors
+    ///
+    /// Unknown scenario or parameter, or [`SweepPlan::expand`]'s.
+    pub fn check_plan(&self, plan: &SweepPlan) -> Result<Vec<ParamSet>, EngineError> {
+        let specs = self.registry.get(plan.scenario())?.params();
+        let axes = plan.axes().iter().map(|(name, _)| name.as_str());
+        let mut names = axes.chain(plan.fixed().iter().map(|(name, _)| name));
+        if let Some(name) = names.find(|name| !specs.iter().any(|s| s.name == *name)) {
+            return Err(EngineError::UnknownParameter {
+                scenario: plan.scenario().to_owned(),
+                name: name.to_owned(),
+            });
+        }
+        plan.expand()
+    }
+
     /// Expands a [`SweepPlan`] and executes every grid point on the
     /// worker pool, cache-aware and with deterministic per-job seeds.
     ///
@@ -513,19 +516,7 @@ impl Engine {
         options: &SweepOptions<'_>,
     ) -> Result<SweepOutcome, EngineError> {
         let id = plan.scenario().to_owned();
-        let scenario = self.registry.get(&id)?;
-        let specs = scenario.params();
-        let has_seed = specs.iter().any(|s| s.name == "seed");
-        for (name, _) in plan.axes() {
-            if !specs.iter().any(|s| s.name == name.as_str()) {
-                return Err(EngineError::UnknownParameter {
-                    scenario: id.clone(),
-                    name: name.clone(),
-                });
-            }
-        }
-
-        let points: Vec<ParamSet> = plan.expand()?;
+        let points = self.check_plan(plan)?;
         let jobs: Vec<(Vec<(String, f64)>, ParamSet)> = points
             .into_iter()
             .map(|overrides| {
@@ -537,8 +528,9 @@ impl Engine {
                 let mut resolved = self.resolve(&id, &overrides)?;
                 // Deterministic per-job seeding: independent of worker
                 // scheduling, stable across runs, unique per grid point
-                // — unless the caller pinned the seed explicitly.
-                if has_seed && !overrides.contains("seed") {
+                // — unless the caller pinned the seed explicitly (or
+                // the scenario declares none).
+                if resolved.contains("seed") && !overrides.contains("seed") {
                     let derived =
                         self.base_seed ^ crate::cache::fnv1a(resolved.fingerprint().as_bytes());
                     // 32 bits: exactly representable in the f64 that

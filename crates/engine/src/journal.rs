@@ -221,22 +221,14 @@ impl SweepJournal {
             path: path.display().to_string(),
             message,
         };
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)
-                .map_err(|e| fail(format!("cannot create journal directory: {e}")))?;
-        }
+        // The lock sits next to the journal: acquiring it created the
+        // journal's directory.
         let mut file =
             fs::File::create(&path).map_err(|e| fail(format!("cannot create journal: {e}")))?;
         file.write_all(encode_header(plan).as_bytes())
             .and_then(|()| file.flush())
             .map_err(|e| fail(format!("cannot write journal header: {e}")))?;
-        Ok(Self {
-            path,
-            file: Mutex::new(file),
-            poisoned: AtomicBool::new(false),
-            reported: AtomicBool::new(false),
-            _lock: lock,
-        })
+        Ok(Self::with_file(path, file, lock))
     }
 
     /// Opens an existing journal for resumption: parses the plan and
@@ -263,16 +255,17 @@ impl SweepJournal {
             .append(true)
             .open(&path)
             .map_err(|e| fail(format!("cannot reopen journal for appending: {e}")))?;
-        Ok((
-            Self {
-                path,
-                file: Mutex::new(file),
-                poisoned: AtomicBool::new(false),
-                reported: AtomicBool::new(false),
-                _lock: lock,
-            },
-            state,
-        ))
+        Ok((Self::with_file(path, file, lock), state))
+    }
+
+    fn with_file(path: PathBuf, file: fs::File, lock: RunLock) -> Self {
+        Self {
+            path,
+            file: Mutex::new(file),
+            poisoned: AtomicBool::new(false),
+            reported: AtomicBool::new(false),
+            _lock: lock,
+        }
     }
 
     /// Appends one completed grid point, flushed immediately so a kill

@@ -21,6 +21,8 @@
 //! * checkpointed sweeps via the [`journal`] module: every finished
 //!   grid point is durably logged, and an interrupted campaign resumes
 //!   with byte-identical output,
+//! * one run lifecycle, [`RunSession`]: the CLI and the server both
+//!   open, journal and execute their sweeps through it,
 //! * a concurrent HTTP/JSON simulation service over one shared engine
 //!   ([`serve`]): job submission, streamed progress, content-addressed
 //!   result fetches, admission control, and graceful drain,
@@ -57,6 +59,7 @@ mod error;
 pub mod journal;
 mod params;
 mod registry;
+mod run;
 mod scenario;
 pub mod serve;
 pub mod store;
@@ -70,6 +73,7 @@ pub use error::EngineError;
 pub use journal::{JournalState, SweepJournal};
 pub use params::{parse_value, ParamSet, ParamSpec, ParamValue};
 pub use registry::Registry;
+pub use run::RunSession;
 pub use scenario::{Scenario, ScenarioOutput};
 pub use serve::{ServeConfig, Server};
 pub use store::{DiskStats, DiskStore};

@@ -19,7 +19,7 @@
 //!   JSON object *is* the canonical plan, so the same request body
 //!   always maps to the same run id);
 //! * `GET /runs/<job>` — stream per-job progress as chunked JSONL: one
-//!   line per finished grid point (fed by [`SweepOptions::on_done`]),
+//!   line per finished grid point (fed by [`crate::SweepOptions::on_done`]),
 //!   then one final summary line carrying the sweep CSV;
 //! * `GET /results/<key>` — fetch a cached output by content address
 //!   (the 16-hex-digit key streamed in progress lines), served from
@@ -31,16 +31,25 @@
 //!   running sweeps are cooperatively cancelled (their journals stay
 //!   `--resume`-able), and the server exits once the last job flushed.
 //!
-//! Admission control: at most [`ServeConfig::max_inflight`] jobs run
-//! at once; submissions beyond that are rejected with 429 and a
-//! `serve.rejected` counter, so a traffic spike degrades into retries
-//! instead of an unbounded thread pile-up. Two submissions of the
-//! *same* plan do not double-compute: the second joins the in-flight
-//! run (same job id, `"joined":true`) — and if another *process* owns
-//! the run, the journal's run lock turns that into a clean 409.
+//! Submissions answer, in this order:
+//!
+//! * 400 for an invalid plan, whatever the load — the same
+//!   [`Engine::check_plan`] the CLI runs;
+//! * 200 with the in-flight job (`"joined":true`) when the same plan
+//!   is already running in this server, so it is not computed twice;
+//! * 429 when [`ServeConfig::max_inflight`] jobs already run (counted
+//!   in `serve.rejected`), so a traffic spike degrades into retries
+//!   instead of an unbounded thread pile-up;
+//! * 409 naming the run id when another *process* holds the run's
+//!   journal lock, and 500 when the journal cannot be written — in
+//!   both cases no job is created;
+//! * 202 with a new job otherwise.
+//!
+//! Jobs run through the same [`RunSession`] lifecycle as the CLI's
+//! `sweep` and `campaign`: one journal rule, one journal per run, and
+//! drained runs resume with `mramsim sweep --resume`.
 
-use crate::journal::SweepJournal;
-use crate::{Engine, EngineError, JobEvent, ParamValue, ScenarioOutput, SweepOptions, SweepPlan};
+use crate::{Engine, EngineError, JobEvent, ParamValue, RunSession, ScenarioOutput, SweepPlan};
 use mramsim_numerics::hash::{key_hex, parse_key_hex};
 use mramsim_telemetry as telemetry;
 use mramsim_telemetry::{Json, MetricsRecorder, Recorder};
@@ -131,7 +140,7 @@ struct ServerState {
     /// Set once the drain completed: the accept loop exits.
     stop: AtomicBool,
     /// Cooperative cancellation flag handed to every sweep
-    /// ([`SweepOptions::cancel`]); flipped by the drain.
+    /// ([`crate::SweepOptions::cancel`]); flipped by the drain.
     cancel: AtomicBool,
     next_job: AtomicUsize,
     /// Every job ever submitted, by job id (`j1`, `j2`, …).
@@ -305,29 +314,31 @@ fn respond_json(stream: &mut TcpStream, code: u16, body: &Json) {
     let _ = stream.flush();
 }
 
+/// A JSON object from `(name, value)` pairs (rendered in name order).
+fn object<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(name, value)| (name.to_owned(), value))
+            .collect(),
+    )
+}
+
 fn respond_error(stream: &mut TcpStream, code: u16, message: &str) {
-    let mut obj = BTreeMap::new();
-    obj.insert("error".to_owned(), Json::Str(message.to_owned()));
-    respond_json(stream, code, &Json::Obj(obj));
+    let body = object([("error", Json::Str(message.to_owned()))]);
+    respond_json(stream, code, &body);
 }
 
 fn healthz(state: &ServerState) -> Json {
-    let mut obj = BTreeMap::new();
-    obj.insert("status".to_owned(), Json::Str("ok".to_owned()));
-    obj.insert(
-        "inflight".to_owned(),
-        Json::Num(state.inflight.load(Ordering::Relaxed) as f64),
-    );
-    obj.insert(
-        "max_inflight".to_owned(),
-        Json::Num(state.max_inflight as f64),
-    );
-    obj.insert(
-        "draining".to_owned(),
-        Json::Bool(state.draining.load(Ordering::Relaxed)),
-    );
-    obj.insert("jobs".to_owned(), Json::Num(lock(&state.jobs).len() as f64));
-    Json::Obj(obj)
+    let inflight = state.inflight.load(Ordering::Relaxed) as f64;
+    let draining = state.draining.load(Ordering::Relaxed);
+    object([
+        ("status", Json::Str("ok".to_owned())),
+        ("inflight", Json::Num(inflight)),
+        ("max_inflight", Json::Num(state.max_inflight as f64)),
+        ("draining", Json::Bool(draining)),
+        ("jobs", Json::Num(lock(&state.jobs).len() as f64)),
+    ])
 }
 
 fn metrics(state: &ServerState) -> Json {
@@ -409,34 +420,9 @@ fn plan_from_json(body: &Json, want_axes: bool) -> Result<(SweepPlan, Option<usi
     Ok((plan, limit))
 }
 
-/// Validates a plan against the scenario's declared parameter specs —
-/// the same up-front check the CLI runs, so a typo'd submission fails
-/// with 400 instead of leaving a failed job behind.
-fn validate_plan(engine: &Engine, plan: &SweepPlan) -> Result<(), String> {
-    let specs = engine
-        .registry()
-        .get(plan.scenario())
-        .map_err(|e| e.to_string())?
-        .params();
-    for name in plan
-        .axes()
-        .iter()
-        .map(|(name, _)| name.as_str())
-        .chain(plan.fixed().iter().map(|(name, _)| name))
-    {
-        if !specs.iter().any(|s| s.name == name) {
-            return Err(format!(
-                "scenario `{}` has no parameter `{name}`",
-                plan.scenario()
-            ));
-        }
-    }
-    plan.expand().map_err(|e| e.to_string())?;
-    Ok(())
-}
-
 /// `POST /runs` / `POST /sweeps`: validate, dedupe against in-flight
-/// runs, admit, and launch.
+/// runs, admit, open the run, and launch (see the module docs for the
+/// response order).
 fn submit(state: &Arc<ServerState>, stream: &mut TcpStream, body: &str, want_axes: bool) {
     if state.draining.load(Ordering::Relaxed) {
         return respond_error(stream, 503, "server is draining; resubmit after restart");
@@ -448,13 +434,13 @@ fn submit(state: &Arc<ServerState>, stream: &mut TcpStream, body: &str, want_axe
         Ok(parsed) => parsed,
         Err(message) => return respond_error(stream, 400, &message),
     };
-    if let Err(message) = validate_plan(&state.engine, &plan) {
-        return respond_error(stream, 400, &message);
+    if let Err(e) = state.engine.check_plan(&plan) {
+        return respond_error(stream, 400, &e.to_string());
     }
-    let run_id = SweepJournal::run_id(&plan);
+    let run_id = plan.run_id();
 
-    // Dedupe + admission under one lock, so two racing submissions of
-    // the same plan cannot both claim a slot.
+    // Dedupe, admission and opening under one lock, so two racing
+    // submissions of the same plan cannot both claim a slot.
     let (job_id, joined) = {
         let mut live = lock(&state.live_runs);
         if let Some(job_id) = live.get(&run_id) {
@@ -474,6 +460,20 @@ fn submit(state: &Arc<ServerState>, stream: &mut TcpStream, body: &str, want_axe
                     ),
                 );
             }
+            // Opened only after the join check: a held run lock here
+            // belongs to another process, not to a duplicate of ours.
+            let run = match RunSession::open(&state.engine, plan, state.cache_dir.as_deref()) {
+                Ok(run) => run,
+                Err(e) => {
+                    drop(live);
+                    let in_flight = matches!(e, EngineError::RunInFlight { .. });
+                    return respond_error(
+                        stream,
+                        if in_flight { 409 } else { 500 },
+                        &e.to_string(),
+                    );
+                }
+            };
             state.inflight.fetch_add(1, Ordering::Relaxed);
             let job_id = format!("j{}", state.next_job.fetch_add(1, Ordering::Relaxed));
             let job = Arc::new(Job {
@@ -486,115 +486,67 @@ fn submit(state: &Arc<ServerState>, stream: &mut TcpStream, body: &str, want_axe
             telemetry::counter_add("serve.submitted", 1);
             let state = Arc::clone(state);
             let launched = job_id.clone();
-            std::thread::spawn(move || run_job(&state, &job, &launched, &plan, limit));
+            std::thread::spawn(move || run_job(&state, &job, &launched, run, limit));
             (job_id, false)
         }
     };
 
-    let mut obj = BTreeMap::new();
-    obj.insert("job".to_owned(), Json::Str(job_id.clone()));
-    obj.insert("run_id".to_owned(), Json::Str(run_id));
-    obj.insert("joined".to_owned(), Json::Bool(joined));
-    obj.insert("progress".to_owned(), Json::Str(format!("/runs/{job_id}")));
-    respond_json(stream, if joined { 200 } else { 202 }, &Json::Obj(obj));
+    let response = object([
+        ("job", Json::Str(job_id.clone())),
+        ("run_id", Json::Str(run_id)),
+        ("joined", Json::Bool(joined)),
+        ("progress", Json::Str(format!("/runs/{job_id}"))),
+    ]);
+    respond_json(stream, if joined { 200 } else { 202 }, &response);
 }
 
 /// Renders one finished grid point as a progress line.
 fn event_line(event: &JobEvent<'_>) -> String {
-    let mut obj = BTreeMap::new();
-    obj.insert("index".to_owned(), Json::Num(event.index as f64));
-    obj.insert("key".to_owned(), Json::Str(key_hex(event.key)));
-    obj.insert("ok".to_owned(), Json::Bool(event.ok));
-    obj.insert("cache_hit".to_owned(), Json::Bool(event.cache_hit));
-    obj.insert("disk_hit".to_owned(), Json::Bool(event.disk_hit));
-    obj.insert("skipped".to_owned(), Json::Bool(event.skipped));
-    obj.insert(
-        "duration_s".to_owned(),
-        Json::Num(event.duration.as_secs_f64()),
-    );
-    Json::Obj(obj).render()
+    object([
+        ("index", Json::Num(event.index as f64)),
+        ("key", Json::Str(key_hex(event.key))),
+        ("ok", Json::Bool(event.ok)),
+        ("cache_hit", Json::Bool(event.cache_hit)),
+        ("disk_hit", Json::Bool(event.disk_hit)),
+        ("skipped", Json::Bool(event.skipped)),
+        ("duration_s", Json::Num(event.duration.as_secs_f64())),
+    ])
+    .render()
 }
 
-/// Executes one submitted job on its own thread: journal, sweep,
-/// final summary line, cleanup.
+/// Executes one opened run on its own thread: sweep, final summary
+/// line, cleanup.
 fn run_job(
     state: &Arc<ServerState>,
     job: &Arc<Job>,
     job_id: &str,
-    plan: &SweepPlan,
+    run: RunSession,
     limit: Option<usize>,
 ) {
     telemetry::set_lane_label("serve-job");
-    // Journal the run when a disk tier exists to resume from. The run
-    // lock also fences other *processes* off this run id; a live
-    // holder fails the job cleanly instead of interleaving journals.
-    let journal = match (&state.cache_dir, state.engine.store().is_some()) {
-        (Some(dir), true) => {
-            match SweepJournal::create(SweepJournal::path_for(dir, &job.run_id), plan) {
-                Ok(journal) => Some(journal),
-                Err(e) => {
-                    let mut obj = BTreeMap::new();
-                    obj.insert("status".to_owned(), Json::Str("failed".to_owned()));
-                    obj.insert("error".to_owned(), Json::Str(e.to_string()));
-                    finish_job(state, job, job_id, Json::Obj(obj).render());
-                    return;
-                }
-            }
-        }
-        _ => None,
+    let on_job = |event: &JobEvent<'_>| job.push_line(event_line(event), false);
+    let summary = match run.execute(&state.engine, limit, Some(&state.cancel), &on_job) {
+        Ok(outcome) => object([
+            ("status", Json::Str("done".to_owned())),
+            ("scenario", Json::Str(outcome.scenario.clone())),
+            ("jobs", Json::Num(outcome.jobs.len() as f64)),
+            ("cache_hits", Json::Num(outcome.cache_hits as f64)),
+            ("disk_hits", Json::Num(outcome.disk_hits as f64)),
+            ("errors", Json::Num(outcome.errors as f64)),
+            ("skipped", Json::Num(outcome.skipped as f64)),
+            ("duration_s", Json::Num(outcome.duration.as_secs_f64())),
+            ("csv", Json::Str(outcome.summary_table().to_csv())),
+        ]),
+        Err(e) => object([
+            ("status", Json::Str("failed".to_owned())),
+            ("error", Json::Str(e.to_string())),
+        ]),
     };
-    let on_done = |event: &JobEvent<'_>| {
-        if event.ok {
-            if let Some(journal) = &journal {
-                journal.record(event.index, event.key);
-            }
-        }
-        job.push_line(event_line(event), false);
-    };
-    let options = SweepOptions {
-        limit,
-        on_done: Some(&on_done),
-        cancel: Some(&state.cancel),
-    };
-    let mut obj = BTreeMap::new();
-    match state.engine.sweep_with(plan, &options) {
-        Ok(outcome) => {
-            obj.insert("status".to_owned(), Json::Str("done".to_owned()));
-            obj.insert("scenario".to_owned(), Json::Str(outcome.scenario.clone()));
-            obj.insert("jobs".to_owned(), Json::Num(outcome.jobs.len() as f64));
-            obj.insert(
-                "cache_hits".to_owned(),
-                Json::Num(outcome.cache_hits as f64),
-            );
-            obj.insert("disk_hits".to_owned(), Json::Num(outcome.disk_hits as f64));
-            obj.insert("errors".to_owned(), Json::Num(outcome.errors as f64));
-            obj.insert("skipped".to_owned(), Json::Num(outcome.skipped as f64));
-            obj.insert(
-                "duration_s".to_owned(),
-                Json::Num(outcome.duration.as_secs_f64()),
-            );
-            obj.insert(
-                "csv".to_owned(),
-                Json::Str(outcome.summary_table().to_csv()),
-            );
-        }
-        Err(e) => {
-            obj.insert("status".to_owned(), Json::Str("failed".to_owned()));
-            obj.insert("error".to_owned(), Json::Str(e.to_string()));
-        }
-    }
-    // Surface a recovered journal poisoning exactly once, as designed:
-    // the sweep finished, the journal kept flushing, but the panic
-    // still deserves a line in the server log.
-    if let Some(poisoned) = journal.as_ref().and_then(SweepJournal::poison_error) {
-        telemetry::counter_add("serve.poison_recoveries", 1);
-        eprintln!("warning: {poisoned}");
-    }
     // Release the run lock *before* leaving the live-run map: a
     // resubmission landing between the two would otherwise find the
-    // journal still locked and fail with `RunInFlight`.
-    drop(journal);
-    finish_job(state, job, job_id, Json::Obj(obj).render());
+    // journal still locked and get a 409.
+    drop(run);
+    finish_job(state, job, job_id, summary.render());
 }
 
 /// Publishes a job's final line and releases its live-run entry and
@@ -682,20 +634,15 @@ fn result_by_key(state: &Arc<ServerState>, stream: &mut TcpStream, key: &str) {
 }
 
 fn output_json(key: u64, output: &ScenarioOutput) -> Json {
-    let mut obj = BTreeMap::new();
-    obj.insert("key".to_owned(), Json::Str(key_hex(key)));
-    obj.insert(
-        "scalars".to_owned(),
-        Json::Obj(
-            output
-                .scalars
-                .iter()
-                .map(|(name, v)| (name.clone(), Json::Num(*v)))
-                .collect(),
-        ),
-    );
-    obj.insert("csv".to_owned(), Json::Str(output.to_csv()));
-    Json::Obj(obj)
+    let scalars = output
+        .scalars
+        .iter()
+        .map(|(n, v)| (n.clone(), Json::Num(*v)));
+    object([
+        ("key", Json::Str(key_hex(key))),
+        ("scalars", Json::Obj(scalars.collect())),
+        ("csv", Json::Str(output.to_csv())),
+    ])
 }
 
 /// `POST /shutdown`: graceful drain. New submissions get 503
@@ -709,13 +656,12 @@ fn shutdown(state: &Arc<ServerState>, stream: &mut TcpStream) {
     // Respond before arming the drain waiter: once the waiter sees
     // zero in-flight jobs it stops the accept loop and the process
     // exits, which must not race this response off the wire.
-    let mut obj = BTreeMap::new();
-    obj.insert("draining".to_owned(), Json::Bool(true));
-    obj.insert(
-        "inflight".to_owned(),
-        Json::Num(state.inflight.load(Ordering::Relaxed) as f64),
-    );
-    respond_json(stream, 200, &Json::Obj(obj));
+    let inflight = state.inflight.load(Ordering::Relaxed) as f64;
+    let response = object([
+        ("draining", Json::Bool(true)),
+        ("inflight", Json::Num(inflight)),
+    ]);
+    respond_json(stream, 200, &response);
     if !already {
         let state = Arc::clone(state);
         std::thread::spawn(move || {

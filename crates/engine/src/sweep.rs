@@ -67,6 +67,12 @@ impl SweepPlan {
         &self.fixed
     }
 
+    /// The plan's stable run id ([`crate::SweepJournal::run_id`]).
+    #[must_use]
+    pub fn run_id(&self) -> String {
+        crate::SweepJournal::run_id(self)
+    }
+
     /// The axes in declaration order.
     #[must_use]
     pub fn axes(&self) -> &[(String, Vec<f64>)] {

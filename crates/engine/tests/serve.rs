@@ -223,7 +223,12 @@ fn concurrent_clients_get_sequential_bytes_with_one_computation() {
 #[test]
 fn submissions_are_validated_and_admission_is_bounded() {
     let dir = TempDir::new("validate");
-    let engine = Arc::new(Engine::standard().with_workers(1));
+    let engine = Arc::new(
+        Engine::standard()
+            .with_workers(1)
+            .with_disk_cache(&dir.0)
+            .unwrap(),
+    );
     let (addr, server) = spawn_server(engine, Some(dir.0.clone()), 1);
 
     let (status, body) = get(addr, "/healthz");
@@ -243,6 +248,13 @@ fn submissions_are_validated_and_admission_is_bounded() {
         let (status, body) = post(addr, path, bad);
         assert_eq!(status, 400, "{path} {bad} -> {body}");
     }
+    // Rejected submissions must not leave resumable-looking journal
+    // debris behind.
+    let runs = dir.0.join("runs");
+    assert!(
+        !runs.exists() || fs::read_dir(&runs).unwrap().next().is_none(),
+        "invalid submissions must not create journals"
+    );
     let (status, _) = get(addr, "/runs/j999");
     assert_eq!(status, 404);
     let (status, _) = get(addr, "/results/zzzz");
@@ -264,6 +276,46 @@ fn submissions_are_validated_and_admission_is_bounded() {
     assert_eq!(lines.len(), 2, "one event + summary: {streamed}");
     assert_eq!(field(lines[1], "status"), "done");
     assert_eq!(field(lines[1], "jobs"), "1");
+
+    let (status, _body) = post(addr, "/shutdown", "");
+    assert_eq!(status, 200);
+    server.join().expect("server thread");
+}
+
+#[test]
+fn a_run_locked_by_another_owner_is_a_conflict_and_creates_no_job() {
+    let dir = TempDir::new("conflict");
+    let engine = Arc::new(
+        Engine::standard()
+            .with_workers(1)
+            .with_disk_cache(&dir.0)
+            .unwrap(),
+    );
+    let (addr, server) = spawn_server(engine, Some(dir.0.clone()), 1);
+
+    // Another owner holds the run lock of the plan about to be
+    // submitted: the submission is refused with 409 naming the run,
+    // and neither a job nor an admission slot is left behind.
+    let run_id = SweepJournal::run_id(&overlap_plan());
+    let held =
+        SweepJournal::create(SweepJournal::path_for(&dir.0, &run_id), &overlap_plan()).unwrap();
+    let (status, body) = post(addr, "/sweeps", OVERLAP_PLAN);
+    assert_eq!(status, 409, "{body}");
+    assert!(body.contains(&run_id), "{body}");
+    let (status, health) = get(addr, "/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(field(&health, "inflight"), "0", "{health}");
+    assert_eq!(field(&health, "jobs"), "0", "{health}");
+
+    // Once the owner lets go, the same plan runs to completion.
+    drop(held);
+    let (status, response) = post(addr, "/sweeps", OVERLAP_PLAN);
+    assert_eq!(status, 202, "{response}");
+    let (status, streamed) = get(addr, &field(&response, "progress"));
+    assert_eq!(status, 200);
+    let summary = streamed.lines().last().expect("a summary line");
+    assert_eq!(field(summary, "status"), "done", "{streamed}");
+    assert_eq!(field(summary, "errors"), "0", "{streamed}");
 
     let (status, _body) = post(addr, "/shutdown", "");
     assert_eq!(status, 200);
@@ -321,11 +373,12 @@ fn graceful_drain_leaves_a_resumable_journal() {
     let run_id = field(&response, "run_id");
     let journal_path = SweepJournal::path_for(&dir.0, &run_id);
 
-    // Wait for the first checkpoint so the drain is genuinely
-    // mid-sweep, then pull the plug.
+    // Wait for the first checkpoint (a `done` line: the plan header
+    // alone spans many lines, and the journal exists from submission)
+    // so the drain is genuinely mid-sweep, then pull the plug.
     let deadline = Instant::now() + Duration::from_secs(60);
     while fs::read_to_string(&journal_path)
-        .map(|s| s.lines().count() < 2)
+        .map(|s| !s.contains("\ndone "))
         .unwrap_or(true)
     {
         assert!(Instant::now() < deadline, "no checkpoint within 60s");
