@@ -1,6 +1,10 @@
 //! Golden-figure regression suite: every figure scenario re-runs with a
 //! fixed seed and reduced grids, and its CSV output is compared against
-//! a committed golden within per-column tolerances.
+//! a committed golden within per-column tolerances. The seeded
+//! Monte-Carlo scenarios (`wer-mc`, `switch-traj`, `array-wer`,
+//! `array-wer-shard`) are pinned the same way but compared exactly:
+//! their per-replica streams are a determinism contract, so any change
+//! to a printed cell is a change to the stepper.
 //!
 //! Regenerate after an intentional model change with
 //!
@@ -30,6 +34,9 @@ struct GoldenCase {
 /// runs compare exactly; the default tolerance only forgives
 /// last-printed-digit jitter from FP-level refactors.
 const DEFAULT_TOL: (f64, f64) = (1e-6, 1e-9);
+
+/// The Monte-Carlo cases forgive nothing.
+const EXACT: (f64, f64) = (0.0, 0.0);
 
 fn cases() -> Vec<GoldenCase> {
     vec![
@@ -96,6 +103,61 @@ fn cases() -> Vec<GoldenCase> {
     ]
 }
 
+/// The seeded Monte-Carlo scenarios, each at a point where the s-LLGS
+/// ensembles both switch and fail, sized for a debug-build test run.
+fn mc_cases() -> Vec<GoldenCase> {
+    vec![
+        GoldenCase {
+            id: "wer-mc",
+            overrides: ParamSet::new(),
+            column_tolerances: &[],
+        },
+        GoldenCase {
+            id: "switch-traj",
+            overrides: ParamSet::new(),
+            column_tolerances: &[],
+        },
+        GoldenCase {
+            id: "switch-traj@0.7v",
+            overrides: ParamSet::new()
+                .with("trajectories", 256.0)
+                .with("span_ns", 60.0)
+                .with("voltage_v", 0.7),
+            column_tolerances: &[],
+        },
+        GoldenCase {
+            id: "array-wer",
+            overrides: ParamSet::new()
+                .with("rows", 4.0)
+                .with("cols", 4.0)
+                .with("trajectories", 48.0)
+                .with("voltage_v", 0.8)
+                .with("pitch", 52.5),
+            column_tolerances: &[],
+        },
+        GoldenCase {
+            id: "array-wer-shard",
+            overrides: ParamSet::new()
+                .with("rows", 32.0)
+                .with("cols", 32.0)
+                .with("shard_rows", 16.0)
+                .with("shard", 1.0)
+                .with("defects", "20,5=P;27,13=AP")
+                .with("max_radius", 2.0)
+                .with("field_tol", 60.0)
+                .with("trajectories", 24.0)
+                .with("voltage_v", 0.8),
+            column_tolerances: &[],
+        },
+    ]
+}
+
+/// The scenario a case runs: ids are `<scenario>` or
+/// `<scenario>@<variant>` for a second golden of the same scenario.
+fn scenario_of(id: &str) -> &str {
+    id.split_once('@').map_or(id, |(scenario, _)| scenario)
+}
+
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
@@ -113,6 +175,7 @@ fn compare_csv(
     golden: &str,
     actual: &str,
     tolerances: &[(&str, (f64, f64))],
+    default_tol: (f64, f64),
 ) -> Result<(), String> {
     let g_lines: Vec<&str> = golden.lines().collect();
     let a_lines: Vec<&str> = actual.lines().collect();
@@ -153,7 +216,7 @@ fn compare_csv(
                     let (rtol, atol) = tolerances
                         .iter()
                         .find(|(name, _)| *name == column)
-                        .map_or(DEFAULT_TOL, |(_, t)| *t);
+                        .map_or(default_tol, |(_, t)| *t);
                     let limit = atol + rtol * gv.abs().max(av.abs());
                     if !((gv - av).abs() <= limit) {
                         return Err(format!(
@@ -178,14 +241,16 @@ fn compare_csv(
     Ok(())
 }
 
-#[test]
-fn figure_scenarios_match_their_goldens() {
+/// Runs every case and compares it with its golden (or rewrites the
+/// golden under `GOLDEN_REGENERATE`); numeric cells without a column
+/// override use `default_tol`.
+fn check_goldens(cases: Vec<GoldenCase>, default_tol: (f64, f64)) {
     let regenerate = std::env::var_os("GOLDEN_REGENERATE").is_some();
     let engine = Engine::standard();
     let mut failures = Vec::new();
-    for case in cases() {
+    for case in cases {
         let outcome = engine
-            .run(case.id, &case.overrides)
+            .run(scenario_of(case.id), &case.overrides)
             .unwrap_or_else(|e| panic!("{} failed to run: {e}", case.id));
         let actual = outcome.output.to_csv();
         let path = golden_dir().join(format!("{}.csv", case.id));
@@ -196,7 +261,7 @@ fn figure_scenarios_match_their_goldens() {
         }
         let golden = fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-        if let Err(reason) = compare_csv(&golden, &actual, case.column_tolerances) {
+        if let Err(reason) = compare_csv(&golden, &actual, case.column_tolerances, default_tol) {
             fs::create_dir_all(diff_dir()).unwrap();
             let diff_path = diff_dir().join(format!("{}.csv", case.id));
             fs::write(&diff_path, &actual).unwrap();
@@ -213,6 +278,16 @@ fn figure_scenarios_match_their_goldens() {
          GOLDEN_REGENERATE=1):\n{}",
         failures.join("\n")
     );
+}
+
+#[test]
+fn figure_scenarios_match_their_goldens() {
+    check_goldens(cases(), DEFAULT_TOL);
+}
+
+#[test]
+fn monte_carlo_scenarios_match_their_goldens_exactly() {
+    check_goldens(mc_cases(), EXACT);
 }
 
 #[test]
@@ -235,14 +310,30 @@ fn golden_suite_covers_all_ten_figures() {
 fn csv_comparator_enforces_per_column_tolerances() {
     let golden = "a,b\n1.00,2.00\n\nq,v\nname,3.0\n";
     // Identical passes.
-    assert!(compare_csv(golden, golden, &[]).is_ok());
+    assert!(compare_csv(golden, golden, &[], DEFAULT_TOL).is_ok());
     // Inside a loose per-column tolerance passes, outside fails.
     let close = "a,b\n1.00,2.01\n\nq,v\nname,3.0\n";
-    assert!(compare_csv(golden, close, &[("b", (0.0, 0.05))]).is_ok());
-    assert!(compare_csv(golden, close, &[]).is_err());
+    assert!(compare_csv(golden, close, &[("b", (0.0, 0.05))], DEFAULT_TOL).is_ok());
+    assert!(compare_csv(golden, close, &[], DEFAULT_TOL).is_err());
+    // Exact mode rejects even last-digit jitter.
+    let jitter = "a,b\n1.00,2.000000000001\n\nq,v\nname,3.0\n";
+    assert!(compare_csv(golden, jitter, &[], DEFAULT_TOL).is_ok());
+    assert!(compare_csv(golden, jitter, &[], EXACT).is_err());
     // Text changes and shape changes always fail.
-    assert!(compare_csv(golden, "a,b\n1.00,2.00\n\nq,v\nother,3.0\n", &[]).is_err());
-    assert!(compare_csv(golden, "a,b\n1.00,2.00\n", &[]).is_err());
+    assert!(compare_csv(
+        golden,
+        "a,b\n1.00,2.00\n\nq,v\nother,3.0\n",
+        &[],
+        DEFAULT_TOL
+    )
+    .is_err());
+    assert!(compare_csv(golden, "a,b\n1.00,2.00\n", &[], DEFAULT_TOL).is_err());
     // A changed header is a contract change, not a numeric drift.
-    assert!(compare_csv(golden, "a,c\n1.00,2.00\n\nq,v\nname,3.0\n", &[]).is_err());
+    assert!(compare_csv(
+        golden,
+        "a,c\n1.00,2.00\n\nq,v\nname,3.0\n",
+        &[],
+        DEFAULT_TOL
+    )
+    .is_err());
 }
