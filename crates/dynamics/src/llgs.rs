@@ -66,6 +66,15 @@ pub const GYROMAGNETIC_RATIO: f64 = 1.760_859_630_23e11;
 /// `γ₀ = γₑ·µ₀` \[m/(A·s)\] — precession rate per A/m of field.
 pub const GAMMA_0: f64 = GYROMAGNETIC_RATIO * MU_0;
 
+/// Attempt frequency `f₀` \[Hz\] of the thermal recrossing bound behind
+/// [`MacrospinParams::freeze_level`].
+pub(crate) const ATTEMPT_FREQUENCY: f64 = 1e9;
+
+/// The largest chance a frozen replica may have had of ending its pulse
+/// back on the initial side of the barrier (see
+/// [`MacrospinParams::freeze_level`]).
+pub(crate) const RECROSS_BOUND: f64 = 1e-15;
+
 /// Calibrated macrospin coefficients for one `(device, direction,
 /// temperature)` operating point, plus the applied field.
 ///
@@ -247,6 +256,60 @@ impl MacrospinParams {
     #[must_use]
     pub fn critical_current(&self) -> f64 {
         self.alpha_eff * (self.hk_eff + self.initial_mz * self.h_app.z) / self.aj_per_ampere
+    }
+
+    /// The level of `u = m_z·p̂` at or above which a replica driven by
+    /// `current` amperes for `steps` Heun steps of `dt` seconds is
+    /// settled: its chance of being back at `u ≤ 0` when the pulse ends
+    /// is below [`RECROSS_BOUND`], so further steps can move its final
+    /// vector but not its outcome. `+∞` when nothing may freeze: below
+    /// [`MacrospinParams::critical_current`] (so zero and sub-critical
+    /// drive step as they always did), under any in-plane applied field
+    /// (the axial bound below does not describe it), where the bound
+    /// asks for a level past 1, or where one step's thermal kick could
+    /// jump the margin.
+    ///
+    /// The bound. With an axial field the polar angle obeys a closed
+    /// one-dimensional equation in which the spin torque toward `p̂` acts
+    /// exactly like an extra axial field `a_j/α`: the drift of `u` is
+    /// `∝ (1 − u²)·(u + h')` with `h' = (p̂·Hz + a_j/α)/Hk`, so the
+    /// thermal field sees the effective energy `−Δ₀·(u² + 2h'·u)` in
+    /// units of `kB·T`. At or above `Ic`, `h' ≥ 1` and that energy rises
+    /// monotonically from `u = 1` down to `u = −1`, so a replica at `u`
+    /// must climb `Δ₀·(u² + 2h'·u)` to get back to `u = 0`. Its chance
+    /// of doing so, directly or by escaping the well later in the
+    /// pulse, is at most `(1 + f₀·span)·exp(−climb)` with the attempt
+    /// frequency `f₀` = [`ATTEMPT_FREQUENCY`]. Setting that to `p`:
+    ///
+    /// ```text
+    /// u_f = sqrt(h'² + ln((1 + f₀·span)/p)/Δ₀) − h'
+    /// ```
+    ///
+    /// (`ε = 1 − u_f`). The discrete stepper must also not jump the
+    /// margin in one step: its thermal kick in `u` has standard
+    /// deviation at most `γ'·sqrt(2·(1+α²)·D·dt)`, and `u_f` must stay
+    /// `sqrt(2·ln(steps/p))` kicks clear of the equator. For the 35 nm
+    /// device at 0.8 V in an 8 ns pulse of 2 ps steps, `u_f` is 0.13
+    /// (P→AP) to 0.26 (AP→P), some 25–55 kicks: replicas freeze soon
+    /// after they cross the equator.
+    #[must_use]
+    pub(crate) fn freeze_level(&self, current: f64, dt: f64, steps: usize) -> f64 {
+        if current < self.critical_current() || self.h_app.x != 0.0 || self.h_app.y != 0.0 {
+            return f64::INFINITY;
+        }
+        let h_eff =
+            (self.stt_sign * self.h_app.z + self.aj_of(current) / self.alpha_eff) / self.hk_eff;
+        let span = steps as f64 * dt;
+        let climb = ((1.0 + ATTEMPT_FREQUENCY * span) / RECROSS_BOUND).ln() / self.delta0_t;
+        let level = (h_eff * h_eff + climb).sqrt() - h_eff;
+        let kick = self.gamma_eff
+            * (2.0 * (1.0 + self.alpha_eff * self.alpha_eff) * self.thermal_d * dt).sqrt();
+        let kicks = (2.0 * (steps as f64 / RECROSS_BOUND).ln()).sqrt();
+        if level < 1.0 && level >= kicks * kick {
+            level
+        } else {
+            f64::INFINITY
+        }
     }
 
     /// Sun's exponential angle-growth time constant `τD` \[s\] for a
@@ -594,6 +657,53 @@ mod tests {
                 "np={bits}"
             );
         }
+    }
+
+    #[test]
+    fn freeze_level_sits_exactly_on_the_recrossing_bound() {
+        let dev = device();
+        let (dt, steps) = (2e-12, 4000);
+        let bound = ((1.0 + ATTEMPT_FREQUENCY * 8e-9) / RECROSS_BOUND).ln();
+        for (direction, hz, volts, expected) in [
+            (SwitchDirection::ApToP, -370.0, 0.8, 0.26),
+            (SwitchDirection::PToAp, -340.0, 0.8, 0.13),
+        ] {
+            let p = MacrospinParams::from_device(&dev, direction, T300)
+                .unwrap()
+                .with_applied_hz(Oersted::new(hz));
+            let current = dev
+                .electrical()
+                .current(direction.initial_state(), Volt::new(volts), dev.area())
+                .value();
+            let u = p.freeze_level(current, dt, steps);
+            assert!((u - expected).abs() < 0.01, "{direction}: u_f = {u}");
+            // The climb back to the equator in the STT-tilted well is
+            // exactly the bound's exponent.
+            let h_eff = (p.stt_sign * p.h_app.z + p.aj_of(current) / p.alpha_eff) / p.hk_eff;
+            let climb = p.delta0_t * (u * u + 2.0 * h_eff * u);
+            assert!((climb / bound - 1.0).abs() < 1e-12, "{climb} vs {bound}");
+        }
+    }
+
+    #[test]
+    fn freeze_never_applies_below_ic_in_plane_or_on_coarse_steps() {
+        let dev = device();
+        let p = MacrospinParams::from_device(&dev, SwitchDirection::PToAp, T300).unwrap();
+        let ic = p.critical_current();
+        assert!(p.freeze_level(ic, 2e-12, 4000) < 1.0);
+        assert!(p.freeze_level(0.0, 2e-12, 4000).is_infinite());
+        assert!(p.freeze_level(0.999 * ic, 2e-12, 4000).is_infinite());
+        let tilted = p.clone().with_applied_field(Vec3::new(1.0, 0.0, 0.0));
+        assert!(tilted.freeze_level(3.0 * ic, 2e-12, 4000).is_infinite());
+        // 50 ps steps kick m too far to trust a 3·Ic margin of ~0.13.
+        assert!(p.freeze_level(3.0 * ic, 2e-12, 4000) < 0.2);
+        assert!(p.freeze_level(3.0 * ic, 50e-12, 160).is_infinite());
+        // A shallow well (Δ₀ too small for the bound) freezes nothing.
+        let shallow = MacrospinParams {
+            delta0_t: 1.0,
+            ..p.clone()
+        };
+        assert!(shallow.freeze_level(1.01 * ic, 2e-12, 4000).is_infinite());
     }
 
     #[test]

@@ -234,8 +234,10 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
     // A stuck client must not pin a handler thread forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let mut reader = BufReader::new(stream);
-    let Some((method, path, body)) = read_request(&mut reader) else {
-        return;
+    let (method, path, body) = match read_request(&mut reader) {
+        Ok(request) => request,
+        Err(None) => return,
+        Err(Some((code, message))) => return refuse(reader, code, message),
     };
     telemetry::counter_add("serve.requests", 1);
     let mut stream = reader.into_inner();
@@ -257,37 +259,77 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
     }
 }
 
+/// Longest request line or header line accepted, line ending included.
+const MAX_HEAD_LINE: u64 = 8 * 1024;
+
+/// Most header lines one request may carry.
+const MAX_HEADERS: usize = 100;
+
+/// Why a request was not read: `Some((status, reason))` to answer, or
+/// `None` to drop the connection.
+type Unread = Option<(u16, &'static str)>;
+
 /// Parses the request line, headers, and a `Content-Length` body.
-/// `None` on malformed input or a body over 1 MiB (nothing the API
-/// accepts is remotely that large).
-fn read_request(reader: &mut BufReader<TcpStream>) -> Option<(String, String, String)> {
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
+///
+/// The head is read in bounded pieces — no line past
+/// [`MAX_HEAD_LINE`], no more than [`MAX_HEADERS`] headers — so one
+/// client cannot grow server memory without limit; breaking a bound is
+/// answered. Malformed input, a body over 1 MiB (nothing the API
+/// accepts is remotely that large) or a failed read drops the
+/// connection.
+fn read_request(reader: &mut BufReader<TcpStream>) -> Result<(String, String, String), Unread> {
+    let line = read_head_line(reader)?.ok_or(Some((400, "request line too long")))?;
     let mut parts = line.split_whitespace();
-    let method = parts.next()?.to_owned();
-    let path = parts.next()?.to_owned();
+    let method = parts.next().ok_or(None)?.to_owned();
+    let path = parts.next().ok_or(None)?.to_owned();
     let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).ok()?;
+    for _ in 0..=MAX_HEADERS {
+        let header = read_head_line(reader)?.ok_or(Some((431, "header line too long")))?;
         let header = header.trim();
         if header.is_empty() {
-            break;
+            if content_length > 1 << 20 {
+                return Err(None);
+            }
+            let mut body = vec![0u8; content_length];
+            reader.read_exact(&mut body).map_err(|_| None)?;
+            return Ok((method, path, String::from_utf8(body).map_err(|_| None)?));
         }
         if let Some(value) = header
             .to_ascii_lowercase()
             .strip_prefix("content-length:")
             .map(str::trim)
         {
-            content_length = value.parse().ok()?;
+            content_length = value.parse().map_err(|_| None)?;
         }
     }
-    if content_length > 1 << 20 {
-        return None;
+    Err(Some((431, "too many header lines")))
+}
+
+/// One line of the request head, or `Ok(None)` when it runs past
+/// [`MAX_HEAD_LINE`] bytes.
+fn read_head_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, Unread> {
+    let mut line = Vec::new();
+    let read = reader
+        .by_ref()
+        .take(MAX_HEAD_LINE + 1)
+        .read_until(b'\n', &mut line)
+        .map_err(|_| None)?;
+    if read as u64 > MAX_HEAD_LINE {
+        return Ok(None);
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).ok()?;
-    Some((method, path, String::from_utf8(body).ok()?))
+    String::from_utf8(line).map(Some).map_err(|_| None)
+}
+
+/// Answers a request whose head broke a bound, then reads and discards
+/// (up to 1 MiB, for at most a second) what the client is still
+/// sending, so closing the socket does not reset the connection before
+/// the client has read the answer.
+fn refuse(reader: BufReader<TcpStream>, code: u16, message: &str) {
+    let mut stream = reader.into_inner();
+    respond_error(&mut stream, code, message);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
+    let _ = std::io::copy(&mut stream.take(1 << 20), &mut std::io::sink());
 }
 
 fn status_text(code: u16) -> &'static str {
@@ -298,6 +340,7 @@ fn status_text(code: u16) -> &'static str {
         404 => "Not Found",
         409 => "Conflict",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }

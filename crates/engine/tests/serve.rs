@@ -419,3 +419,45 @@ fn graceful_drain_leaves_a_resumable_journal() {
         .to_csv();
     assert_eq!(outcome.summary_table().to_csv(), baseline);
 }
+
+/// Sends `head` raw on a fresh connection and returns the status code
+/// of the answer.
+fn raw_status(addr: SocketAddr, head: &str) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(head.as_bytes()).expect("send head");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read response");
+    raw.split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("malformed response: {raw:?}"))
+}
+
+#[test]
+fn an_oversized_or_overlong_request_head_is_refused_and_the_server_lives() {
+    let engine = Arc::new(Engine::standard().with_workers(1));
+    let (addr, server) = spawn_server(engine, None, 1);
+    let long = "a".repeat(16 * 1024);
+    // One header line past the 8 KiB line cap.
+    let status = raw_status(
+        addr,
+        &format!("GET /healthz HTTP/1.1\r\nX-Big: {long}\r\n\r\n"),
+    );
+    assert_eq!(status, 431);
+    // More header lines than the 100-header cap, each of them small.
+    let many: String = (0..150).map(|i| format!("X-H{i}: v\r\n")).collect();
+    let status = raw_status(addr, &format!("GET /healthz HTTP/1.1\r\n{many}\r\n"));
+    assert_eq!(status, 431);
+    // A request line past the line cap.
+    let status = raw_status(addr, &format!("GET /{long} HTTP/1.1\r\n\r\n"));
+    assert_eq!(status, 400);
+    // Right at the caps the request still goes through.
+    let at_cap: String = (0..100).map(|i| format!("X-H{i}: v\r\n")).collect();
+    let status = raw_status(addr, &format!("GET /healthz HTTP/1.1\r\n{at_cap}\r\n"));
+    assert_eq!(status, 200);
+    let (status, body) = get(addr, "/healthz");
+    assert_eq!(status, 200, "{body}");
+    let (status, _body) = post(addr, "/shutdown", "");
+    assert_eq!(status, 200);
+    server.join().expect("server thread");
+}
