@@ -443,7 +443,9 @@ pub fn replica_rng(seed: u64, index: u64) -> StdRng {
 
 /// Integrates one trajectory and records `(t, m)` every `every` steps
 /// (plus the final state) — the inspection/debug path; the Monte-Carlo
-/// ensembles use the lane-blocked stepper instead.
+/// ensembles use the lane-blocked stepper instead. It never freezes a
+/// replica past the barrier, so it is the reference the ensembles'
+/// freeze is tested against (`tests/freeze.rs`).
 ///
 /// # Panics
 ///

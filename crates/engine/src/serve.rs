@@ -278,21 +278,21 @@ type Unread = Option<(u16, &'static str)>;
 /// accepts is remotely that large) or a failed read drops the
 /// connection.
 fn read_request(reader: &mut BufReader<TcpStream>) -> Result<(String, String, String), Unread> {
-    let line = read_head_line(reader)?.ok_or(Some((400, "request line too long")))?;
+    let line = read_head_line(reader, (400, "request line too long"))?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or(None)?.to_owned();
     let path = parts.next().ok_or(None)?.to_owned();
     let mut content_length = 0usize;
-    for _ in 0..=MAX_HEADERS {
-        let header = read_head_line(reader)?.ok_or(Some((431, "header line too long")))?;
+    let mut headers = 0;
+    loop {
+        let header = read_head_line(reader, (431, "header line too long"))?;
         let header = header.trim();
         if header.is_empty() {
-            if content_length > 1 << 20 {
-                return Err(None);
-            }
-            let mut body = vec![0u8; content_length];
-            reader.read_exact(&mut body).map_err(|_| None)?;
-            return Ok((method, path, String::from_utf8(body).map_err(|_| None)?));
+            break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(Some((431, "too many header lines")));
         }
         if let Some(value) = header
             .to_ascii_lowercase()
@@ -302,12 +302,20 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<(String, String, St
             content_length = value.parse().map_err(|_| None)?;
         }
     }
-    Err(Some((431, "too many header lines")))
+    if content_length > 1 << 20 {
+        return Err(None);
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body).map_err(|_| None)?;
+    Ok((method, path, String::from_utf8(body).map_err(|_| None)?))
 }
 
-/// One line of the request head, or `Ok(None)` when it runs past
-/// [`MAX_HEAD_LINE`] bytes.
-fn read_head_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, Unread> {
+/// One line of the request head; `too_long` is the answer when it runs
+/// past [`MAX_HEAD_LINE`] bytes.
+fn read_head_line(
+    reader: &mut BufReader<TcpStream>,
+    too_long: (u16, &'static str),
+) -> Result<String, Unread> {
     let mut line = Vec::new();
     let read = reader
         .by_ref()
@@ -315,9 +323,9 @@ fn read_head_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, U
         .read_until(b'\n', &mut line)
         .map_err(|_| None)?;
     if read as u64 > MAX_HEAD_LINE {
-        return Ok(None);
+        return Err(Some(too_long));
     }
-    String::from_utf8(line).map(Some).map_err(|_| None)
+    String::from_utf8(line).map_err(|_| None)
 }
 
 /// Answers a request whose head broke a bound, then reads and discards
